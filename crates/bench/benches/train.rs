@@ -1,9 +1,10 @@
 //! Criterion micro-bench for the training hot path: CSR dataset build +
-//! L-BFGS fit at three sizes, on synthetic data shaped like real CERES
-//! training sets — binary indicator features and heavy row duplication
-//! (templated pages emit the same feature row for every instance of a
-//! template slot), so duplicate folding engages as it does in the
-//! pipeline.
+//! L-BFGS fit at three sizes, on synthetic binary-indicator data with
+//! heavy row duplication (~8–16× fold ratio). That stresses duplicate
+//! folding far harder than the pipeline does: the benchmark workloads
+//! fold 1.010× (`site_train`), 1.005× (`serve_harvest` set-up) and 1.057×
+//! (`longtail_crawl`, heaviest single site 1.34×), so the fit numbers
+//! here overstate the folding win on real sites.
 
 use ceres_ml::{Dataset, LogReg, TrainConfig};
 use ceres_synth::rng::derive_rng;
@@ -11,7 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::Rng;
 
 /// (examples, features, distinct row templates). Few templates relative to
-/// the example count ⇒ high fold ratio, like real templated sites.
+/// the example count ⇒ high fold ratio (≈8×, 10×, 16×).
 const SIZES: [(usize, usize, usize); 3] = [(500, 400, 60), (2000, 1200, 200), (8000, 3000, 500)];
 
 /// Row index-sets for `templates` distinct rows over `features` features.

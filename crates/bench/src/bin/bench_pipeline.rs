@@ -20,9 +20,8 @@
 //! before→after ratio, so the perf trajectory is recorded in the artifact
 //! itself.
 //!
-//! Built with `--features runtime-stats`, the pool's scheduling counters
-//! (jobs executed, helper joins, steal misses) are appended to the JSON
-//! and printed to stderr.
+//! The pool's scheduling counters (jobs executed, helper joins, steal
+//! misses) are appended to the JSON and printed to stderr.
 //!
 //! The full-protocol run also records a per-stage wall-time profile
 //! (`stages_run_site`: Parse → Cluster → Annotate → Plan → Train →
@@ -157,9 +156,9 @@ fn main() {
     let views: Vec<PageView> =
         train.iter().map(|(id, html)| PageView::build(id, html, &v.kb)).collect();
     // Match-path summary: how far unique-text folding collapses the
-    // site's field texts before they reach the KB matcher, and (with
-    // `runtime-stats`) the hit rate of one ingest-sized MatchCache warmed
-    // across the whole site's pages.
+    // site's field texts before they reach the KB matcher, and the hit
+    // rate of one ingest-sized MatchCache warmed across the whole site's
+    // pages.
     let all_norms: Vec<&str> =
         views.iter().flat_map(|view| view.fields.iter().map(|f| f.norm.as_str())).collect();
     let match_total_texts = all_norms.len();
@@ -169,7 +168,6 @@ fn main() {
         "# match path: {match_total_texts} field texts -> {match_unique_texts} unique \
          (fold ratio {match_fold_ratio:.3})"
     );
-    #[cfg(feature = "runtime-stats")]
     let match_cache_hit_rate = {
         let mut cache = ceres_kb::MatchCache::new(&v.kb, 1 << 12);
         for (id, html) in &train {
@@ -354,7 +352,6 @@ fn main() {
          \"match_unique_texts\": {match_unique_texts},\n  \
          \"match_fold_ratio\": {match_fold_ratio:.3}"
     );
-    #[cfg(feature = "runtime-stats")]
     let _ = write!(json, ",\n  \"match_cache_hit_rate\": {match_cache_hit_rate:.3}");
     // Before→after trajectory against a previous run (the committed
     // record): < 1.0 means this build's single-thread path is faster.
@@ -400,23 +397,20 @@ fn main() {
             ),
         }
     }
-    // Pool scheduling counters (the `runtime-stats` feature): how many
-    // jobs the pool ran for this whole process, how often idle workers
-    // joined them, and how often a woken worker lost the claim race.
-    #[cfg(feature = "runtime-stats")]
-    {
-        let stats = ceres_runtime::pool_stats();
-        let _ = write!(
-            json,
-            ",\n  \"pool_jobs_executed\": {},\n  \"pool_helper_joins\": {},\n  \
-             \"pool_steal_misses\": {}",
-            stats.jobs_executed, stats.helper_joins, stats.steal_misses,
-        );
-        eprintln!(
-            "# pool stats: jobs_executed={} helper_joins={} steal_misses={}",
-            stats.jobs_executed, stats.helper_joins, stats.steal_misses
-        );
-    }
+    // Pool scheduling counters: how many jobs the pool ran for this whole
+    // process, how often idle workers joined them, and how often a woken
+    // worker lost the claim race.
+    let stats = ceres_runtime::pool_stats();
+    let _ = write!(
+        json,
+        ",\n  \"pool_jobs_executed\": {},\n  \"pool_helper_joins\": {},\n  \
+         \"pool_steal_misses\": {}",
+        stats.jobs_executed, stats.helper_joins, stats.steal_misses,
+    );
+    eprintln!(
+        "# pool stats: jobs_executed={} helper_joins={} steal_misses={}",
+        stats.jobs_executed, stats.helper_joins, stats.steal_misses
+    );
     json.push_str("\n}\n");
     std::fs::write(&out_path, &json).expect("write bench JSON");
     println!("{json}");

@@ -66,8 +66,7 @@ fn main() {
              \u{20}   path and exits 1 unless every fault is contained and quarantined\n\
              \u{20}   (injected panics need a build with --features fault-inject)\n\
              repro --stats [--scale S] [--seed N] [--threads T] [--site NAME|IDX]\n\
-             \u{20}   run one site end-to-end and print the per-stage wall-time profile\n\
-             \u{20}   (pool-job counts need a build with --features runtime-stats)"
+             \u{20}   run one site end-to-end and print the per-stage wall-time profile"
         );
         return;
     }
@@ -295,8 +294,6 @@ fn stats_cmd(args: &[String]) {
     );
     if threads == 1 {
         eprintln!("# threads=1 runs stages inline; pass --threads N>1 to see pool-job attribution");
-    } else if profile.stages().iter().all(|(_, st)| st.pool_jobs == 0) {
-        eprintln!("# pool_jobs are all 0: build with --features runtime-stats to count them");
     }
 }
 

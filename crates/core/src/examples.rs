@@ -94,42 +94,6 @@ impl Decode for ClassMap {
     }
 }
 
-/// Build the training dataset. Feature interning happens here (the space
-/// must not be frozen yet).
-pub fn build_training(
-    pages: &[&PageView],
-    annotations: &[PageAnnotation],
-    space: &mut FeatureSpace,
-    class_map: &ClassMap,
-    negative_ratio: usize,
-    seed: u64,
-) -> Dataset {
-    build_training_opts(pages, annotations, space, class_map, negative_ratio, seed, true)
-}
-
-/// [`build_training`] with the list-index exclusion switchable (ablation).
-#[allow(clippy::too_many_arguments)]
-pub fn build_training_opts(
-    pages: &[&PageView],
-    annotations: &[PageAnnotation],
-    space: &mut FeatureSpace,
-    class_map: &ClassMap,
-    negative_ratio: usize,
-    seed: u64,
-    list_exclusion: bool,
-) -> Dataset {
-    build_training_on(
-        &Runtime::sequential(),
-        pages,
-        annotations,
-        space,
-        class_map,
-        negative_ratio,
-        seed,
-        list_exclusion,
-    )
-}
-
 /// How many training rows one name-collection task covers. Coarse enough
 /// that a task's arena amortizes its buffers, fine enough to fan out.
 const NAME_ROWS_PER_TASK: usize = 32;
@@ -147,7 +111,9 @@ fn intern_shard(name: &str) -> usize {
     (ceres_text::FxBuildHasher::default().hash_one(name) >> 60) as usize
 }
 
-/// [`build_training_opts`] with the feature pass split over `rt`.
+/// Build the training dataset, with the feature pass split over `rt`.
+/// Feature interning happens here (the space must not be frozen yet);
+/// `list_exclusion` switches the list-index exclusion (an ablation).
 ///
 /// The dictionary is the training hot loop's `&mut` bottleneck: interning
 /// serializes every example. The split runs **name collection** — all the
@@ -339,6 +305,7 @@ pub fn build_training_on(
 mod tests {
     use super::*;
     use crate::config::FeatureConfig;
+    use crate::features::FeatureScratch;
     use ceres_kb::{Kb, KbBuilder, Ontology, ValueId};
 
     fn kb_and_page() -> (Kb, PageView, PredId, ValueId) {
@@ -395,7 +362,8 @@ mod tests {
         let cm = ClassMap::from_annotations(std::slice::from_ref(&ann));
         let pages = vec![&page];
         let mut space = FeatureSpace::new(&pages, FeatureConfig::default());
-        let data = build_training(&pages, &[ann], &mut space, &cm, 3, 1);
+        let data =
+            build_training_on(&Runtime::sequential(), &pages, &[ann], &mut space, &cm, 3, 1, true);
 
         // Positives: 1 name + 3 cast. Negatives ≤ 3 × 4 = 12 but the two
         // "Unknown" <li>s are excluded (same list shape as positives), so
@@ -413,7 +381,7 @@ mod tests {
         let page = pages[0];
         for (fi, f) in page.fields.iter().enumerate() {
             if f.text.contains("Unknown") {
-                let x = space.features(page, page.fields[fi].node);
+                let x = space.features_with(page, page.fields[fi].node, &mut FeatureScratch::new());
                 assert!(
                     negatives.iter().all(|n| *n != x),
                     "list sibling {fi} must not be a negative"
@@ -429,7 +397,16 @@ mod tests {
         let cm = ClassMap::from_annotations(std::slice::from_ref(&ann));
         let pages = vec![&page];
         let mut space = FeatureSpace::new(&pages, FeatureConfig::default());
-        let data = build_training(&pages, std::slice::from_ref(&ann), &mut space, &cm, 2, 1);
+        let data = build_training_on(
+            &Runtime::sequential(),
+            &pages,
+            std::slice::from_ref(&ann),
+            &mut space,
+            &cm,
+            2,
+            1,
+            true,
+        );
         let n_pos = data.labels().iter().filter(|&&y| y != CLASS_OTHER).count();
         let n_neg = data.labels().iter().filter(|&&y| y == CLASS_OTHER).count();
         assert!(n_neg <= 2 * n_pos);
@@ -445,7 +422,16 @@ mod tests {
         let cm = ClassMap::from_annotations(std::slice::from_ref(&ann));
         let pages = vec![&page];
         let mut s_ref = FeatureSpace::new(&pages, FeatureConfig::default());
-        let d_ref = build_training(&pages, std::slice::from_ref(&ann), &mut s_ref, &cm, 3, 9);
+        let d_ref = build_training_on(
+            &Runtime::sequential(),
+            &pages,
+            std::slice::from_ref(&ann),
+            &mut s_ref,
+            &cm,
+            3,
+            9,
+            true,
+        );
         for threads in [1, 2, 8] {
             let rt = Runtime::new(threads);
             let mut s = FeatureSpace::new(&pages, FeatureConfig::default());
@@ -464,9 +450,19 @@ mod tests {
         let cm = ClassMap::from_annotations(std::slice::from_ref(&ann));
         let pages = vec![&page];
         let mut s1 = FeatureSpace::new(&pages, FeatureConfig::default());
-        let d1 = build_training(&pages, std::slice::from_ref(&ann), &mut s1, &cm, 3, 9);
+        let d1 = build_training_on(
+            &Runtime::sequential(),
+            &pages,
+            std::slice::from_ref(&ann),
+            &mut s1,
+            &cm,
+            3,
+            9,
+            true,
+        );
         let mut s2 = FeatureSpace::new(&pages, FeatureConfig::default());
-        let d2 = build_training(&pages, &[ann], &mut s2, &cm, 3, 9);
+        let d2 =
+            build_training_on(&Runtime::sequential(), &pages, &[ann], &mut s2, &cm, 3, 9, true);
         assert_eq!(d1.labels(), d2.labels());
         assert_eq!(d1, d2);
     }

@@ -154,7 +154,7 @@ mod tests {
     use super::*;
     use crate::annotate::PageAnnotation;
     use crate::config::FeatureConfig;
-    use crate::examples::build_training;
+    use crate::examples::build_training_on;
     use ceres_kb::{Kb, KbBuilder, Ontology};
     use ceres_ml::TrainConfig;
 
@@ -210,7 +210,16 @@ mod tests {
         let class_map = crate::examples::ClassMap::from_annotations(&annotations);
         let refs: Vec<&PageView> = pages.iter().collect();
         let mut space = FeatureSpace::new(&refs, FeatureConfig::default());
-        let data = build_training(&refs, &annotations, &mut space, &class_map, 3, 7);
+        let data = build_training_on(
+            &Runtime::sequential(),
+            &refs,
+            &annotations,
+            &mut space,
+            &class_map,
+            3,
+            7,
+            true,
+        );
         let (model, _) = ceres_ml::LogReg::train(&data, &TrainConfig::default());
         space.freeze();
 

@@ -237,8 +237,8 @@ impl FeatureSpace {
 
     /// Freeze the dictionary: extraction-time features not seen in training
     /// are dropped. After freezing, the lookup-only
-    /// [`FeatureSpace::features_frozen`] / [`FeatureSpace::pair_features_frozen`]
-    /// twins work through `&self`, so the parallel extract stage shares one
+    /// [`FeatureSpace::features_frozen_with`] /
+    /// [`FeatureSpace::pair_features_frozen_with`] twins work through `&self`, so the parallel extract stage shares one
     /// space across threads without cloning.
     pub fn freeze(&mut self) {
         self.dict.freeze();
@@ -279,13 +279,8 @@ impl FeatureSpace {
     }
 
     /// Compute the feature vector of one node, interning new feature names
-    /// (the training path; requires an unfrozen space). Allocates a fresh
-    /// scratch — hot loops use [`FeatureSpace::features_with`].
-    pub fn features(&mut self, page: &PageView, node: NodeId) -> SparseVec {
-        self.features_with(page, node, &mut FeatureScratch::new())
-    }
-
-    /// [`FeatureSpace::features`] through caller-owned reusable buffers.
+    /// (the training path; requires an unfrozen space), through
+    /// caller-owned reusable buffers.
     pub fn features_with(
         &mut self,
         page: &PageView,
@@ -298,15 +293,10 @@ impl FeatureSpace {
         SparseVec::from_indices_buf(idx)
     }
 
-    /// Lookup-only twin of [`FeatureSpace::features`] for a frozen space.
-    /// On a frozen dictionary `intern` and `get` coincide, so the returned
-    /// vector is identical to what `features` would produce.
-    pub fn features_frozen(&self, page: &PageView, node: NodeId) -> SparseVec {
-        self.features_frozen_with(page, node, &mut FeatureScratch::new())
-    }
-
-    /// [`FeatureSpace::features_frozen`] through caller-owned buffers —
-    /// the per-(cluster, page) extract tasks keep one scratch alive across
+    /// Lookup-only twin of [`FeatureSpace::features_with`] for a frozen
+    /// space. On a frozen dictionary `intern` and `get` coincide, so the
+    /// returned vector is identical to what `features_with` would produce.
+    /// The per-(cluster, page) extract tasks keep one scratch alive across
     /// every field they classify.
     pub fn features_frozen_with(
         &self,
@@ -325,16 +315,6 @@ impl FeatureSpace {
     /// by its role and concatenated — the representation CERES-BASELINE
     /// uses ("to produce features for the pair, we concatenate the features
     /// for each node", §5.2).
-    pub fn pair_features(
-        &mut self,
-        page: &PageView,
-        subject_node: NodeId,
-        object_node: NodeId,
-    ) -> SparseVec {
-        self.pair_features_with(page, subject_node, object_node, &mut FeatureScratch::new())
-    }
-
-    /// [`FeatureSpace::pair_features`] through caller-owned buffers.
     pub fn pair_features_with(
         &mut self,
         page: &PageView,
@@ -352,18 +332,8 @@ impl FeatureSpace {
         SparseVec::from_indices_buf(idx)
     }
 
-    /// Lookup-only twin of [`FeatureSpace::pair_features`] for a frozen
-    /// space (the baseline's extraction path).
-    pub fn pair_features_frozen(
-        &self,
-        page: &PageView,
-        subject_node: NodeId,
-        object_node: NodeId,
-    ) -> SparseVec {
-        self.pair_features_frozen_with(page, subject_node, object_node, &mut FeatureScratch::new())
-    }
-
-    /// [`FeatureSpace::pair_features_frozen`] through caller-owned buffers.
+    /// Lookup-only twin of [`FeatureSpace::pair_features_with`] for a
+    /// frozen space (the baseline's extraction path).
     pub fn pair_features_frozen_with(
         &self,
         page: &PageView,
@@ -559,7 +529,7 @@ mod tests {
     }
 
     fn feats_of(space: &mut FeatureSpace, pv: &PageView, i: usize) -> Vec<String> {
-        let v = space.features(pv, pv.fields[i].node);
+        let v = space.features_with(pv, pv.fields[i].node, &mut FeatureScratch::new());
         v.iter().map(|(id, _)| space.dict.name(id).to_string()).collect()
     }
 
@@ -626,7 +596,7 @@ mod tests {
         let refs: Vec<&PageView> = pages.iter().collect();
         let mut space = FeatureSpace::new(&refs, FeatureConfig::default());
         assert!(space.frequent.iter().any(|s| s == "director"), "{:?}", space.frequent);
-        let v = space.features(&pages[0], pages[0].fields[1].node);
+        let v = space.features_with(&pages[0], pages[0].fields[1].node, &mut FeatureScratch::new());
         let names: Vec<String> = v.iter().map(|(id, _)| space.dict.name(id).to_string()).collect();
         assert!(
             names.iter().any(|n| n.starts_with("t:director@")),
@@ -640,18 +610,20 @@ mod tests {
             r#"<div class="info"><span class="l">Director:</span><span class="v">Someone</span></div>"#,
         );
         let mut space = FeatureSpace::new(&[&pv], FeatureConfig::default());
-        let trained = space.features(&pv, pv.fields[1].node);
+        let mut scratch = FeatureScratch::new();
+        let trained = space.features_with(&pv, pv.fields[1].node, &mut scratch);
         space.freeze();
         // Same page: identical vectors through &self and &mut self.
-        assert_eq!(space.features_frozen(&pv, pv.fields[1].node), trained);
-        assert_eq!(space.features(&pv, pv.fields[1].node), trained);
+        assert_eq!(space.features_frozen_with(&pv, pv.fields[1].node, &mut scratch), trained);
+        assert_eq!(space.features_with(&pv, pv.fields[1].node, &mut scratch), trained);
         // Unseen page: unknown names dropped identically by both paths.
         let pv2 = page(r#"<div class="fresh"><span class="l">Director:</span></div>"#);
-        let a = space.features_frozen(&pv2, pv2.fields[0].node);
-        let b = space.features(&pv2, pv2.fields[0].node);
+        let a = space.features_frozen_with(&pv2, pv2.fields[0].node, &mut scratch);
+        let b = space.features_with(&pv2, pv2.fields[0].node, &mut scratch);
         assert_eq!(a, b);
-        let p = space.pair_features_frozen(&pv, pv.fields[0].node, pv.fields[1].node);
-        let q = space.pair_features(&pv, pv.fields[0].node, pv.fields[1].node);
+        let (s, o) = (pv.fields[0].node, pv.fields[1].node);
+        let p = space.pair_features_frozen_with(&pv, s, o, &mut scratch);
+        let q = space.pair_features_with(&pv, s, o, &mut scratch);
         assert_eq!(p, q);
     }
 
@@ -727,10 +699,10 @@ mod tests {
     fn frozen_space_drops_new_features() {
         let pv = page("<div class=x>a</div>");
         let mut space = FeatureSpace::new(&[&pv], FeatureConfig::default());
-        let v1 = space.features(&pv, pv.fields[0].node);
+        let v1 = space.features_with(&pv, pv.fields[0].node, &mut FeatureScratch::new());
         space.freeze();
         let pv2 = page("<div class=never-seen>b</div>");
-        let v2 = space.features(&pv2, pv2.fields[0].node);
+        let v2 = space.features_with(&pv2, pv2.fields[0].node, &mut FeatureScratch::new());
         assert!(v2.nnz() < v1.nnz() + 5);
         assert!(space.dict.get("s:class=never-seen@l0o0").is_none());
     }
@@ -740,7 +712,7 @@ mod tests {
         let pv = page(r#"<div class="info"><span class="l">Director:</span><span>V</span></div>"#);
         let mut cfg = FeatureConfig { enable_text: false, ..FeatureConfig::default() };
         let mut s1 = FeatureSpace::new(&[&pv], cfg.clone());
-        let v = s1.features(&pv, pv.fields[1].node);
+        let v = s1.features_with(&pv, pv.fields[1].node, &mut FeatureScratch::new());
         let names: Vec<String> = v.iter().map(|(i, _)| s1.dict.name(i).to_string()).collect();
         assert!(names.iter().all(|n| n.starts_with("s:")));
 
@@ -748,7 +720,7 @@ mod tests {
         cfg.enable_structural = false;
         cfg.frequent_string_page_frac = 0.0;
         let mut s2 = FeatureSpace::new(&[&pv], cfg);
-        let v = s2.features(&pv, pv.fields[1].node);
+        let v = s2.features_with(&pv, pv.fields[1].node, &mut FeatureScratch::new());
         let names: Vec<String> = v.iter().map(|(i, _)| s2.dict.name(i).to_string()).collect();
         assert!(names.iter().all(|n| n.starts_with("t:")), "{names:?}");
     }

@@ -165,14 +165,16 @@ impl Decode for SiteRunStats {
     }
 }
 
-/// One stage's slice of the per-run wall-time profile: elapsed time plus
-/// the number of jobs the worker pool executed during the stage (pool
-/// utilization; counted only with the `runtime-stats` feature, 0 without
-/// it, and process-global — concurrent sessions bleed into each other's
-/// counts, which is fine for the single-pipeline bench/repro use).
+/// One stage's slice of the per-run wall-time profile.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTime {
+    /// Wall time of the stage.
     pub ms: f64,
+    /// Jobs the worker pool executed during the stage (pool utilization),
+    /// counted in every build; 0 when the stage ran inline (one thread, or
+    /// too little work to split). The counter is process-global, so
+    /// concurrent sessions bleed into each other's counts, which is fine
+    /// for the single-pipeline bench/repro use.
     pub pool_jobs: u64,
 }
 
@@ -256,16 +258,9 @@ impl TrainFoldStats {
     }
 }
 
-/// Pool jobs executed so far (`runtime-stats` only; 0 without the feature).
+/// Pool jobs executed so far, process-wide.
 pub(crate) fn pool_jobs_now() -> u64 {
-    #[cfg(feature = "runtime-stats")]
-    {
-        ceres_runtime::pool_stats().jobs_executed
-    }
-    #[cfg(not(feature = "runtime-stats"))]
-    {
-        0
-    }
+    ceres_runtime::pool_stats().jobs_executed
 }
 
 /// Scope timer filling one [`StageTime`]: wall clock plus the pool-job
@@ -374,28 +369,17 @@ pub fn run_site_views(
     cfg: &CeresConfig,
     mode: AnnotationMode,
 ) -> SiteRun {
-    run_site_views_on(&Runtime::with_threads(cfg.threads), kb, ann_views, ext_views, cfg, mode)
-}
-
-/// [`run_site_views`] on a caller-provided [`Runtime`].
-pub fn run_site_views_on(
-    rt: &Runtime,
-    kb: &Kb,
-    ann_views: &[PageView],
-    ext_views: Option<&[PageView]>,
-    cfg: &CeresConfig,
-    mode: AnnotationMode,
-) -> SiteRun {
-    let core = train_views_on(rt, kb, ann_views, cfg, mode);
+    let rt = Runtime::with_threads(cfg.threads);
+    let core = train_views_on(&rt, kb, ann_views, cfg, mode);
     let extract_t = StageTimer::start();
     let (extractions, n_ext) = match ext_views {
         // Unseen pages go through the template-assignment path, one task
         // per page, merged in page order.
-        Some(ext) => (core.extract_views_on(rt, ext), ext.len()),
+        Some(ext) => (core.extract_views_on(&rt, ext), ext.len()),
         // The whole-site protocol extracts from the training pages via
         // their recorded cluster membership (cluster order, then page
         // order — the classic batch layout).
-        None => (core.extract_members_on(rt, ann_views), ann_views.len()),
+        None => (core.extract_members_on(&rt, ann_views), ann_views.len()),
     };
     let extract = extract_t.stop();
     let mut run = core.into_site_run(extractions, n_ext);

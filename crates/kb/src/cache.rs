@@ -22,10 +22,9 @@ use crate::store::{Kb, ValueId};
 use ceres_text::FxHashMap;
 use std::collections::VecDeque;
 
-/// Hit/miss counters of one [`MatchCache`] (the `runtime-stats` feature).
-/// Counts follow sequential-lookup semantics even for batched calls: a
-/// string repeated inside one batch misses once and hits thereafter.
-#[cfg(feature = "runtime-stats")]
+/// Hit/miss counters of one [`MatchCache`]. Counts follow
+/// sequential-lookup semantics even for batched calls: a string repeated
+/// inside one batch misses once and hits thereafter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchCacheStats {
     /// Lookups answered from the cache.
@@ -34,7 +33,6 @@ pub struct MatchCacheStats {
     pub misses: u64,
 }
 
-#[cfg(feature = "runtime-stats")]
 impl MatchCacheStats {
     /// `hits / (hits + misses)`; 0.0 before any lookup.
     pub fn hit_rate(&self) -> f64 {
@@ -58,7 +56,6 @@ pub struct MatchCache<'kb> {
     /// walked front-to-back; never hash-order iteration.
     queue: VecDeque<String>,
     capacity: usize,
-    #[cfg(feature = "runtime-stats")]
     stats: MatchCacheStats,
 }
 
@@ -70,7 +67,6 @@ impl<'kb> MatchCache<'kb> {
             map: FxHashMap::default(),
             queue: VecDeque::new(),
             capacity: capacity.max(1),
-            #[cfg(feature = "runtime-stats")]
             stats: MatchCacheStats::default(),
         }
     }
@@ -89,21 +85,8 @@ impl<'kb> MatchCache<'kb> {
     }
 
     /// Hit/miss counters since construction.
-    #[cfg(feature = "runtime-stats")]
     pub fn stats(&self) -> MatchCacheStats {
         self.stats
-    }
-
-    #[inline]
-    fn note(&mut self, _hit: bool) {
-        #[cfg(feature = "runtime-stats")]
-        {
-            if _hit {
-                self.stats.hits += 1;
-            } else {
-                self.stats.misses += 1;
-            }
-        }
     }
 
     /// Admit `(norm, hits)`, evicting the oldest entries while full.
@@ -127,10 +110,10 @@ impl<'kb> MatchCache<'kb> {
     /// hit.
     pub fn match_norm(&mut self, norm: &str) -> &'kb [ValueId] {
         if let Some(&hits) = self.map.get(norm) {
-            self.note(true);
+            self.stats.hits += 1;
             return hits;
         }
-        self.note(false);
+        self.stats.misses += 1;
         let hits = self.kb.match_norm(norm);
         self.admit(norm, hits);
         hits
@@ -146,11 +129,10 @@ impl<'kb> MatchCache<'kb> {
         for (i, norm) in norms.iter().enumerate() {
             match self.map.get(norm.as_ref()) {
                 Some(&hits) => {
-                    self.note(true);
+                    self.stats.hits += 1;
                     out.push(hits);
                 }
                 None => {
-                    self.note(false);
                     miss_idx.push(i);
                     out.push(&[]);
                 }
@@ -164,13 +146,8 @@ impl<'kb> MatchCache<'kb> {
         // matching what sequential `match_norm` calls would do).
         let miss_keys: Vec<&str> = miss_idx.iter().map(|&i| norms[i].as_ref()).collect();
         let fold = ceres_text::fold_unique(&miss_keys);
-        for _ in 0..(miss_keys.len() - fold.uniq.len()) {
-            #[cfg(feature = "runtime-stats")]
-            {
-                self.stats.misses -= 1;
-            }
-            self.note(true);
-        }
+        self.stats.misses += fold.uniq.len() as u64;
+        self.stats.hits += (miss_keys.len() - fold.uniq.len()) as u64;
         let resolved = self.kb.match_batch(&fold.uniq);
         // Scatter from the batch answer (not from `self.map`: with a tiny
         // capacity an entry admitted earlier in this loop may already have
@@ -249,7 +226,6 @@ mod tests {
         assert!(!cache.map.contains_key("film number 0"));
     }
 
-    #[cfg(feature = "runtime-stats")]
     #[test]
     fn counters_follow_sequential_semantics() {
         let kb = test_kb();

@@ -32,9 +32,7 @@ pub mod matcher;
 pub mod ontology;
 pub mod store;
 
-pub use cache::MatchCache;
-#[cfg(feature = "runtime-stats")]
-pub use cache::MatchCacheStats;
+pub use cache::{MatchCache, MatchCacheStats};
 pub use matcher::{is_low_information, MatcherConfig};
 pub use ontology::{EntityTypeId, Ontology, PredDef, PredId};
 pub use store::{Kb, KbBuilder, KbStats, MatchShards, Triple, TypeStats, ValueId, ValueKind};

@@ -246,7 +246,10 @@ pub enum Optimizer {
     Sgd,
 }
 
-/// Training hyperparameters. Defaults mirror the paper's scikit-learn call.
+/// Training hyperparameters. Defaults mirror the paper's scikit-learn call,
+/// `LogisticRegression(solver="lbfgs", penalty="l2", C=1)`: L-BFGS started
+/// cold from zero weights. The SGD knobs only matter for the optimizer
+/// ablation.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Inverse regularization strength (scikit-learn's `C`). Paper: 1.0.
@@ -258,15 +261,6 @@ pub struct TrainConfig {
     /// SGD-only knobs.
     pub sgd_epochs: usize,
     pub sgd_lr: f64,
-    /// Mini-batch SGD warm-start epochs run before full-batch L-BFGS
-    /// (L-BFGS only; 0 = disabled, the default). The warm start uses
-    /// deterministic fixed-order batches of [`TrainConfig::warm_start_batch`]
-    /// unique rows, each stepping on the batch's multiplicity-weighted mean
-    /// gradient, so it is byte-identical at any thread count, like the rest
-    /// of training.
-    pub warm_start_epochs: usize,
-    /// Mini-batch size for the warm start (clamped to `1..=n`).
-    pub warm_start_batch: usize,
 }
 
 impl Default for TrainConfig {
@@ -278,8 +272,6 @@ impl Default for TrainConfig {
             tol: 1e-5,
             sgd_epochs: 30,
             sgd_lr: 0.1,
-            warm_start_epochs: 0,
-            warm_start_batch: 256,
         }
     }
 }
@@ -422,10 +414,7 @@ impl LogReg {
         let folded = data.fold_duplicates();
         let (fdata, counts) = (&folded.data, &folded.counts[..]);
         let dim = data.n_classes * (data.n_features + 1);
-        let mut x0 = vec![0.0; dim];
-        if config.optimizer == Optimizer::Lbfgs && config.warm_start_epochs > 0 {
-            warm_start(rt, fdata, counts, config, &mut x0);
-        }
+        let x0 = vec![0.0; dim];
         let mut scratch = SpanScratch::default();
         let objective = |w: &[f64], grad: &mut [f64]| {
             loss_grad_folded_on(rt, fdata, counts, config.c, w, grad, &mut scratch)
@@ -558,28 +547,16 @@ impl LogReg {
         }
     }
 
-    /// Class log-odds (pre-softmax scores) for one example.
-    pub fn scores(&self, x: &SparseVec) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_classes];
-        self.scores_write(x, &mut out);
-        out
-    }
-
-    /// [`LogReg::scores`] into a reusable scratch — no allocation.
+    /// Class log-odds (pre-softmax scores) for one example, written into a
+    /// reusable scratch — no allocation.
     pub fn scores_into<'a>(&self, x: &SparseVec, scratch: &'a mut ScoreScratch) -> &'a [f64] {
         let out = scratch.resized(self.n_classes);
         self.scores_write(x, out);
         out
     }
 
-    /// Posterior distribution over classes for one example.
-    pub fn predict_proba(&self, x: &SparseVec) -> Vec<f64> {
-        let mut scores = self.scores(x);
-        softmax_in_place(&mut scores);
-        scores
-    }
-
-    /// [`LogReg::predict_proba`] into a reusable scratch — no allocation.
+    /// Posterior distribution over classes for one example, written into a
+    /// reusable scratch — no allocation.
     pub fn predict_proba_into<'a>(
         &self,
         x: &SparseVec,
@@ -591,12 +568,8 @@ impl LogReg {
         out
     }
 
-    /// Most probable class and its probability.
-    pub fn predict(&self, x: &SparseVec) -> (u32, f64) {
-        top_class(&self.predict_proba(x))
-    }
-
-    /// [`LogReg::predict`] through a reusable scratch — no allocation.
+    /// Most probable class and its probability, scored through a reusable
+    /// scratch — no allocation.
     pub fn predict_into(&self, x: &SparseVec, scratch: &mut ScoreScratch) -> (u32, f64) {
         top_class(self.predict_proba_into(x, scratch))
     }
@@ -788,7 +761,7 @@ struct SpanScratch {
 }
 
 /// Deterministic block structure for parallel gradient accumulation over
-/// rows `lo..hi`. Boundaries depend only on the span length — never the
+/// rows `0..n`. Boundaries depend only on the row count — never the
 /// thread count — so the per-block partial sums, reduced in block-index
 /// order, give bit-identical loss and gradient at any thread count. The
 /// minimum block size keeps tiny datasets on the single-block (serial)
@@ -799,16 +772,15 @@ struct SpanScratch {
 const GRAD_TARGET_BLOCKS: usize = 4;
 const GRAD_MIN_BLOCK: usize = 64;
 
-fn grad_blocks(lo: usize, hi: usize) -> Vec<(usize, usize)> {
-    let n = hi - lo;
+fn grad_blocks(n: usize) -> Vec<(usize, usize)> {
     if n == 0 {
         return Vec::new();
     }
     let block = n.div_ceil(GRAD_TARGET_BLOCKS).max(GRAD_MIN_BLOCK);
-    (0..n).step_by(block).map(|b| (lo + b, lo + (b + block).min(n))).collect()
+    (0..n).step_by(block).map(|b| (b, (b + block).min(n))).collect()
 }
 
-/// Accumulate the span loss/gradient of rows `lo..hi` into the class-major
+/// Accumulate the data loss/gradient of every row into the class-major
 /// `grad` on `rt`'s workers. The weights are transposed once into
 /// `scratch`, each fixed block produces a partial (loss, transposed
 /// gradient) reduced sequentially in block order, and the transposed total
@@ -817,13 +789,10 @@ fn grad_blocks(lo: usize, hi: usize) -> Vec<(usize, usize)> {
 /// slot starts at 0.0 in both layouts and receives the same contributions
 /// in the same order. One block short-circuits the fan-out, running the
 /// kernel straight into the scratch accumulator.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_span_on(
+fn accumulate_on(
     rt: &Runtime,
     data: &Dataset,
     counts: &[u32],
-    lo: usize,
-    hi: usize,
     w: &[f64],
     grad: &mut [f64],
     scratch: &mut SpanScratch,
@@ -835,13 +804,13 @@ fn accumulate_span_on(
     transpose_weights_into(w, k, d, &mut scratch.wt, &mut scratch.intercepts);
     scratch.acc.clear();
     scratch.acc.resize(d * k + k, 0.0);
-    let blocks = grad_blocks(lo, hi);
+    let blocks = grad_blocks(data.len());
     let loss = if blocks.len() <= 1 {
         loss_grad_span(
             data,
             counts,
-            lo,
-            hi,
+            0,
+            data.len(),
             &scratch.wt,
             &scratch.intercepts,
             &mut scratch.acc,
@@ -914,7 +883,6 @@ fn add_l2_penalty(data: &Dataset, c: f64, w: &[f64], grad: &mut [f64]) -> f64 {
 /// The regularized, multiplicity-weighted objective and its gradient, with
 /// gradient accumulation parallelized over `rt` — the L-BFGS inner loop.
 /// Bit-identical at any thread count (fixed blocks, block-order reduction).
-#[allow(clippy::too_many_arguments)]
 fn loss_grad_folded_on(
     rt: &Runtime,
     data: &Dataset,
@@ -925,7 +893,7 @@ fn loss_grad_folded_on(
     scratch: &mut SpanScratch,
 ) -> f64 {
     grad.fill(0.0);
-    let loss = accumulate_span_on(rt, data, counts, 0, data.len(), w, grad, scratch);
+    let loss = accumulate_on(rt, data, counts, w, grad, scratch);
     loss + add_l2_penalty(data, c, w, grad)
 }
 
@@ -950,68 +918,6 @@ pub(crate) fn loss_grad_on(
     let ones = vec![1u32; data.len()];
     let mut scratch = SpanScratch::default();
     loss_grad_folded_on(rt, data, &ones, c, w, grad, &mut scratch)
-}
-
-/// Mini-batch SGD warm start before full-batch L-BFGS: a few epochs of
-/// plain (momentum-free) mini-batch steps over deterministic fixed-order
-/// batches of **unique rows**, each stepping on the batch's
-/// multiplicity-weighted mean gradient plus the batch's share (by
-/// multiplicity mass) of the L2 penalty. Fixed batch boundaries + the
-/// blocked span accumulator keep it byte-identical at any thread count;
-/// on an unfolded dataset (all counts 1) the arithmetic reduces exactly to
-/// the historical per-example warm start. An epoch that drives any weight
-/// non-finite is rewound and ends the warm start — the full-batch L-BFGS
-/// that follows is the robust phase.
-fn warm_start(rt: &Runtime, data: &Dataset, counts: &[u32], config: &TrainConfig, w: &mut [f64]) {
-    let n = data.len();
-    let batch = config.warm_start_batch.clamp(1, n);
-    let stride = data.n_features + 1;
-    let lambda = 1.0 / config.c;
-    // Batch boundaries and multiplicity masses are fixed up front: with all
-    // counts 1, `mass` is exactly the old `(hi - lo)` example count.
-    let batches: Vec<(usize, usize, f64)> = (0..n)
-        .step_by(batch)
-        .map(|lo| {
-            let hi = (lo + batch).min(n);
-            (lo, hi, counts[lo..hi].iter().map(|&c| f64::from(c)).sum())
-        })
-        .collect();
-    let total: f64 = counts.iter().map(|&c| f64::from(c)).sum();
-    let mut grad = vec![0.0; w.len()];
-    let mut scratch = SpanScratch::default();
-    let mut prev = w.to_vec();
-    for _ in 0..config.warm_start_epochs {
-        prev.copy_from_slice(w);
-        for &(lo, hi, mass) in &batches {
-            grad.fill(0.0);
-            accumulate_span_on(rt, data, counts, lo, hi, w, &mut grad, &mut scratch);
-            let scale = mass / total;
-            for ki in 0..data.n_classes {
-                for j in 0..data.n_features {
-                    grad[ki * stride + j] += scale * lambda * w[ki * stride + j];
-                }
-            }
-            let step = config.sgd_lr / mass;
-            for (wi, g) in w.iter_mut().zip(&grad) {
-                *wi -= step * g;
-            }
-        }
-        if w.iter().any(|v| !v.is_finite()) {
-            w.copy_from_slice(&prev);
-            break;
-        }
-    }
-    // Accept the warm point only if it improved the full objective: a
-    // diverged-but-finite trajectory (an oversized learning rate walking
-    // the weights to ±1e300) must not poison the L-BFGS that follows. A
-    // NaN warm loss compares as not-improved and is rejected too.
-    let warm_loss = loss_grad_folded_on(rt, data, counts, config.c, w, &mut grad, &mut scratch);
-    prev.fill(0.0);
-    let cold_loss = loss_grad_folded_on(rt, data, counts, config.c, &prev, &mut grad, &mut scratch);
-    let improved = warm_loss < cold_loss;
-    if !improved {
-        w.fill(0.0);
-    }
 }
 
 #[cfg(test)]
@@ -1046,25 +952,13 @@ mod tests {
     fn probabilities_sum_to_one() {
         let data = xor_free_dataset();
         let (model, _) = LogReg::train(&data, &TrainConfig::default());
-        for r in 0..data.len() {
-            let x = data.sparse_row(r);
-            let p = model.predict_proba(&x);
-            let sum: f64 = p.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9);
-            assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        }
-    }
-
-    #[test]
-    fn into_variants_match_allocating_paths_bit_for_bit() {
-        let data = xor_free_dataset();
-        let (model, _) = LogReg::train(&data, &TrainConfig::default());
         let mut scratch = ScoreScratch::new();
         for r in 0..data.len() {
             let x = data.sparse_row(r);
-            assert_eq!(model.scores(&x), model.scores_into(&x, &mut scratch));
-            assert_eq!(model.predict_proba(&x), model.predict_proba_into(&x, &mut scratch));
-            assert_eq!(model.predict(&x), model.predict_into(&x, &mut scratch));
+            let p = model.predict_proba_into(&x, &mut scratch);
+            let sum: f64 = p.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-9);
+            assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
         }
     }
 
@@ -1083,8 +977,9 @@ mod tests {
             SparseVec::from_pairs(vec![(1, 1.0), (2, 7.0), (9, -3.0)]),
             SparseVec::new(),
         ];
+        let mut scratch = ScoreScratch::new();
         for x in &probes {
-            let got = model.scores(x);
+            let got = model.scores_into(x, &mut scratch);
             let reference: Vec<f64> = (0..model.n_classes())
                 .map(|ki| {
                     let row = model.row(ki);
@@ -1208,9 +1103,10 @@ mod tests {
         assert_eq!(back.n_features(), model.n_features());
         assert_eq!(back.weights(), model.weights());
         // Identical weights ⇒ identical posteriors, bit for bit.
+        let (mut sa, mut sb) = (ScoreScratch::new(), ScoreScratch::new());
         for r in 0..data.len() {
             let x = data.sparse_row(r);
-            assert_eq!(back.predict_proba(&x), model.predict_proba(&x));
+            assert_eq!(back.predict_proba_into(&x, &mut sa), model.predict_proba_into(&x, &mut sb));
         }
     }
 
@@ -1378,7 +1274,7 @@ mod tests {
     #[test]
     fn blocked_gradient_is_bit_identical_at_every_thread_count() {
         let data = blocky_dataset();
-        assert!(grad_blocks(0, data.len()).len() > 1, "fixture must exercise multiple blocks");
+        assert!(grad_blocks(data.len()).len() > 1, "fixture must exercise multiple blocks");
         let dim = 3 * 7;
         let w: Vec<f64> = (0..dim).map(|i| ((i * 5 % 9) as f64 - 4.0) * 0.05).collect();
         let mut ref_grad = vec![0.0; dim];
@@ -1438,7 +1334,7 @@ mod tests {
         assert_eq!(ref_stats.n_unique_rows, blocky_dataset().len());
         assert!(ref_stats.fold_ratio() > 1.5, "fold ratio {}", ref_stats.fold_ratio());
         assert!(
-            grad_blocks(0, ref_stats.n_unique_rows).len() > 1,
+            grad_blocks(ref_stats.n_unique_rows).len() > 1,
             "folded fixture must still exercise multiple blocks"
         );
         for threads in [1, 2, 8] {
@@ -1451,50 +1347,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_is_thread_count_invariant_and_still_learns() {
-        let data = blocky_dataset();
-        let cfg =
-            TrainConfig { warm_start_epochs: 3, warm_start_batch: 64, ..TrainConfig::default() };
-        let (reference, _) = LogReg::train(&data, &cfg);
-        for threads in [2, 8] {
-            let (model, _) = LogReg::train_on(&Runtime::new(threads), &data, &cfg);
-            assert_eq!(model.weights(), reference.weights(), "warm start diverged at {threads}");
-        }
-        // The warm start must not hurt the optimum the solver reaches.
-        let (cold, _) = LogReg::train(&data, &TrainConfig::default());
-        let acc = reference.accuracy(&data);
-        assert!(
-            acc >= cold.accuracy(&data) - 0.05,
-            "warm-started accuracy {acc} collapsed vs cold {}",
-            cold.accuracy(&data)
-        );
-    }
-
-    #[test]
-    fn warm_start_survives_a_divergent_learning_rate() {
-        let data = blocky_dataset();
-        let cfg = TrainConfig {
-            warm_start_epochs: 5,
-            warm_start_batch: 32,
-            sgd_lr: 1e6, // absurd on purpose
-            ..TrainConfig::default()
-        };
-        let (model, stats) = LogReg::train(&data, &cfg);
-        assert!(stats.final_loss.is_finite());
-        assert!(model.weights().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
     fn grad_blocks_cover_the_span_exactly_once() {
-        for (lo, hi) in [(0, 0), (0, 1), (0, 63), (0, 64), (0, 129), (5, 505), (7, 4096)] {
-            let blocks = grad_blocks(lo, hi);
-            let mut expect = lo;
+        for n in [0, 1, 63, 64, 129, 500, 4096] {
+            let blocks = grad_blocks(n);
+            let mut expect = 0;
             for &(a, b) in &blocks {
-                assert_eq!(a, expect, "gap before block ({a}, {b}) in span ({lo}, {hi})");
+                assert_eq!(a, expect, "gap before block ({a}, {b}) in 0..{n}");
                 assert!(b > a);
                 expect = b;
             }
-            assert_eq!(expect, hi, "span ({lo}, {hi}) not fully covered");
+            assert_eq!(expect, n, "0..{n} not fully covered");
         }
     }
 

@@ -30,9 +30,10 @@ fn logreg_learns_linearly_separable_toy_set() {
             "{optimizer:?} failed to separate a separable set: {stats:?}"
         );
         // Confident on a canonical member of each class.
+        let mut scratch = ScoreScratch::new();
         for class in 0..3u32 {
             let x = SparseVec::from_indices(vec![class * 3, class * 3 + 1]);
-            let (pred, p) = model.predict(&x);
+            let (pred, p) = model.predict_into(&x, &mut scratch);
             assert_eq!(pred, class);
             assert!(p > 0.5, "class {class} probability {p:.3} too diffuse");
         }
@@ -46,7 +47,8 @@ fn logreg_training_is_deterministic() {
     let (a, _) = LogReg::train(&data, &cfg);
     let (b, _) = LogReg::train(&data, &cfg);
     let x = SparseVec::from_indices(vec![0, 1]);
-    assert_eq!(a.predict_proba(&x), b.predict_proba(&x));
+    let (mut sa, mut sb) = (ScoreScratch::new(), ScoreScratch::new());
+    assert_eq!(a.predict_proba_into(&x, &mut sa), b.predict_proba_into(&x, &mut sb));
 }
 
 #[test]
@@ -88,11 +90,13 @@ fn late_interned_features_do_not_change_predictions() {
     // feature (the slot a careless kernel would alias to the intercept).
     let with_late = SparseVec::from_pairs(vec![(0, 1.0), (1, 1.0), (9, 1.0), (40, 2.5)]);
 
-    assert_eq!(model.scores(&seen), model.scores(&with_late));
-    assert_eq!(model.predict_proba(&seen), model.predict_proba(&with_late));
-    assert_eq!(model.predict(&seen), model.predict(&with_late));
-    let mut scratch = ScoreScratch::new();
-    assert_eq!(model.predict(&seen), model.predict_into(&with_late, &mut scratch));
+    let (mut sa, mut sb) = (ScoreScratch::new(), ScoreScratch::new());
+    assert_eq!(model.scores_into(&seen, &mut sa), model.scores_into(&with_late, &mut sb));
+    assert_eq!(
+        model.predict_proba_into(&seen, &mut sa),
+        model.predict_proba_into(&with_late, &mut sb)
+    );
+    assert_eq!(model.predict_into(&seen, &mut sa), model.predict_into(&with_late, &mut sb));
 
     // The raw kernels skip too: dot ignores the out-of-range pair, and
     // add_scaled_into leaves an accumulator sized to the weight row alone.

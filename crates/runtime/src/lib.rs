@@ -416,10 +416,8 @@ pub fn auto_chunk_coarse(n: usize, threads: usize) -> usize {
     (n / (threads.max(1) * 32)).clamp(1, 4)
 }
 
-/// Snapshot of the pool's scheduling counters (the `runtime-stats`
-/// feature). Counters are process-wide and monotonic since process start
-/// (or the last [`reset_pool_stats`]).
-#[cfg(feature = "runtime-stats")]
+/// Snapshot of the pool's scheduling counters. Counters are process-wide
+/// and monotonic since process start (or the last [`reset_pool_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Jobs pushed onto the pool queue: one per parallel call that reached
@@ -431,10 +429,8 @@ pub struct PoolStats {
     pub steal_misses: u64,
 }
 
-/// Read the pool's scheduling counters. Only present with the
-/// `runtime-stats` feature; the counters cost three relaxed atomic
-/// increments per scheduling event when enabled and nothing when not.
-#[cfg(feature = "runtime-stats")]
+/// Read the pool's scheduling counters. Counting costs one relaxed atomic
+/// increment per scheduling event, in every build.
 pub fn pool_stats() -> PoolStats {
     use std::sync::atomic::Ordering;
     PoolStats {
@@ -445,7 +441,6 @@ pub fn pool_stats() -> PoolStats {
 }
 
 /// Zero the pool's scheduling counters (e.g. between bench phases).
-#[cfg(feature = "runtime-stats")]
 pub fn reset_pool_stats() {
     use std::sync::atomic::Ordering;
     pool::stats::JOBS_EXECUTED.store(0, Ordering::Relaxed);

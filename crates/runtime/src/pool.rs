@@ -48,10 +48,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// values; the pool grows to `threads - 1` as runtimes request capacity.
 const MAX_POOL_WORKERS: usize = 128;
 
-/// Scheduling counters behind the `runtime-stats` feature: zero-cost when
-/// disabled, three relaxed atomic increments per event when enabled. Read
-/// through [`crate::pool_stats`].
-#[cfg(feature = "runtime-stats")]
+/// Scheduling counters, always compiled: one relaxed atomic increment per
+/// scheduling event. Read through [`crate::pool_stats`].
 pub(crate) mod stats {
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -258,7 +256,6 @@ where
 
     let pool = Pool::global();
     pool.ensure_workers(threads - 1);
-    #[cfg(feature = "runtime-stats")]
     stats::JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
     pool.submit(Arc::clone(&job));
     job.participate();
@@ -299,7 +296,6 @@ pub(crate) unsafe fn submit_stream_job(
     });
     let pool = Pool::global();
     pool.ensure_workers(threads.saturating_sub(1));
-    #[cfg(feature = "runtime-stats")]
     stats::JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
     pool.submit(Arc::clone(&job));
     job
@@ -378,7 +374,6 @@ impl Pool {
                 }
             };
             let helped = job.try_help();
-            #[cfg(feature = "runtime-stats")]
             stats::note_help_attempt(helped);
             if helped {
                 job.participate();
@@ -389,7 +384,7 @@ impl Pool {
     }
 }
 
-#[cfg(all(test, feature = "runtime-stats"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -428,8 +423,8 @@ mod tests {
     /// directly, proving the counter moves whenever a worker loses.
     ///
     /// Counters are process-global and other tests in this binary also run
-    /// pool work, so every assertion is a monotonic `>=` on a before/after
-    /// delta, never an exact equality.
+    /// pool work, so every assertion is a monotonic "moved past the before
+    /// value" check, never an exact equality.
     #[test]
     fn losing_the_helper_slot_race_records_a_steal_miss() {
         let j = job(0, 100, 1);
@@ -446,9 +441,9 @@ mod tests {
 
         assert!(first, "the first racer wins the only helper slot");
         assert!(!second, "the second racer must lose the slot race");
-        assert!(stats::HELPER_JOINS.load(Ordering::Relaxed) >= joins0 + 1);
+        assert!(stats::HELPER_JOINS.load(Ordering::Relaxed) > joins0);
         assert!(
-            stats::STEAL_MISSES.load(Ordering::Relaxed) >= misses0 + 1,
+            stats::STEAL_MISSES.load(Ordering::Relaxed) > misses0,
             "a lost helper-slot race must move the steal-miss counter"
         );
     }
@@ -466,7 +461,7 @@ mod tests {
 
         assert!(!helped, "an exhausted job admits no helpers");
         assert!(
-            stats::STEAL_MISSES.load(Ordering::Relaxed) >= misses0 + 1,
+            stats::STEAL_MISSES.load(Ordering::Relaxed) > misses0,
             "waking for an exhausted job must move the steal-miss counter"
         );
     }

@@ -3,7 +3,7 @@
 //! `threads ∈ {1, 2, 8}` — the determinism contract of `ceres-runtime`
 //! carried through every pipeline stage's ordered merge.
 
-use ceres::eval::harness::{run_ceres_on_site, EvalProtocol, SystemKind};
+use ceres::eval::harness::{protocol_pages, run_ceres_on_site, EvalProtocol, SystemKind};
 use ceres::prelude::*;
 use ceres::synth::swde::{movie_vertical, SwdeConfig};
 
@@ -84,4 +84,23 @@ fn baseline_system_is_thread_count_invariant() {
     for &threads in &THREAD_COUNTS[1..] {
         assert_identical(&serial, &run_at(threads), &format!("threads={threads}"));
     }
+}
+
+#[test]
+fn two_thread_run_site_counts_train_pool_jobs_in_a_default_build() {
+    // The pool's scheduling counters are compiled into every build, so
+    // the per-stage profile attributes pool jobs without any cargo
+    // feature. The counter is process-global, so pool work from other
+    // tests in this binary can only add to the count; a build without the
+    // counters would report 0 here.
+    let (v, _) = movie_vertical(SwdeConfig { seed: 77, scale: 0.02 });
+    let (train, eval) = protocol_pages(&v.sites[0], EvalProtocol::SplitHalves);
+    let cfg = CeresConfig::new(7).with_threads(2);
+    let run = run_site(&v.kb, &train, eval.as_deref(), &cfg, AnnotationMode::Full);
+    assert!(run.stats.trained, "fixture must train: {:?}", run.stats);
+    assert!(
+        run.profile.train.pool_jobs > 0,
+        "train stage reported no pool jobs: {:?}",
+        run.profile
+    );
 }
