@@ -1,11 +1,10 @@
 //! Criterion benches for the CERES pipeline stages on a realistic site:
-//! topic identification (Algorithm 1), relation annotation (Algorithm 2),
-//! end-to-end site extraction, and each paper experiment's core loop at a
-//! micro scale (one bench per table family).
+//! topic identification (Algorithm 1), relation annotation (Algorithm 2)
+//! and page-view construction. End-to-end site runs are measured by the
+//! repository benchmark (`benchmark/`), not here.
 
 use ceres_core::annotate::{annotate_relations, AnnotationMode};
 use ceres_core::page::PageView;
-use ceres_core::pipeline::run_site_views;
 use ceres_core::topic::identify_topics;
 use ceres_core::CeresConfig;
 use ceres_synth::movie_pages::{render_film_page, MoviePathology, MovieRenderCtx};
@@ -66,46 +65,6 @@ fn bench_stages(c: &mut Criterion) {
     });
 }
 
-/// End-to-end site run (annotate + train + extract) — the unit of work
-/// behind Tables 3–9.
-fn bench_end_to_end(c: &mut Criterion) {
-    let fx = fixture(60);
-    let cfg = CeresConfig::new(5);
-    let mut g = c.benchmark_group("pipeline");
-    g.sample_size(10);
-    g.bench_function("site_run_full_60p", |b| {
-        b.iter(|| black_box(run_site_views(&fx.kb, &fx.views, None, &cfg, AnnotationMode::Full)))
-    });
-    g.bench_function("site_run_topic_only_60p", |b| {
-        b.iter(|| {
-            black_box(run_site_views(&fx.kb, &fx.views, None, &cfg, AnnotationMode::TopicOnly))
-        })
-    });
-    g.finish();
-}
-
-/// Thread scaling: the same site run on the deterministic runtime at 1,
-/// 2, and all available threads (output is identical; only wall time may
-/// differ).
-fn bench_thread_scaling(c: &mut Criterion) {
-    let fx = fixture(60);
-    let available = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let mut counts = vec![1usize, 2, available];
-    counts.sort_unstable();
-    counts.dedup(); // avoid duplicate bench ids on 1- and 2-core machines
-    let mut g = c.benchmark_group("pipeline/threads");
-    g.sample_size(10);
-    for threads in counts {
-        let cfg = CeresConfig::new(5).with_threads(threads);
-        g.bench_function(format!("site_run_full_60p_t{threads}"), |b| {
-            b.iter(|| {
-                black_box(run_site_views(&fx.kb, &fx.views, None, &cfg, AnnotationMode::Full))
-            })
-        });
-    }
-    g.finish();
-}
-
 /// Page-view construction (parse + match) — extraction's fixed cost.
 fn bench_pageview(c: &mut Criterion) {
     let world = MovieWorld::generate(MovieWorldConfig {
@@ -131,5 +90,5 @@ fn bench_pageview(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_stages, bench_end_to_end, bench_thread_scaling, bench_pageview);
+criterion_group!(benches, bench_stages, bench_pageview);
 criterion_main!(benches);

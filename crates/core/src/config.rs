@@ -206,7 +206,7 @@ pub struct DriftConfig {
     /// Rolling-window length, in observed pages.
     pub window: usize,
     /// Observations required before the watchdog may fire (a cold window
-    /// of two pages should not suggest retraining).
+    /// of two pages should not suggest retraining); clamped to `window`.
     pub min_samples: usize,
     /// Unassigned fraction of the window at which the signal flips.
     pub max_unassigned_rate: f64,
@@ -242,11 +242,12 @@ pub struct CeresConfig {
     /// Pipeline output is byte-identical for every value (README:
     /// "Parallelism & determinism").
     pub threads: Option<usize>,
-    /// Cap on pages being parsed concurrently while a
+    /// Cap on parse micro-batches in flight while a
     /// [`crate::session::SiteSession`] ingests (the reorder buffer's
-    /// in-flight limit). `None` = twice the worker-thread count. Output is
-    /// byte-identical for every value; the cap only bounds memory and
-    /// overlap during ingest.
+    /// in-flight limit; each batch holds up to a few pages — see
+    /// [`crate::session::SiteSession::push_page`]). `None` = twice the
+    /// worker-thread count. Output is byte-identical for every value; the
+    /// cap only bounds memory and overlap during ingest.
     pub ingest_ahead: Option<usize>,
     /// Page guards for the fault-isolating ingest/serve paths (the
     /// fail-fast paths ignore them).

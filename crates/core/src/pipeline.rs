@@ -1,6 +1,7 @@
-//! The end-to-end site extractor (Figure 3): batch wrappers over the
-//! streaming train-once/extract-many engine in [`crate::session`]. The
-//! stages run on the deterministic [`ceres_runtime`] executor:
+//! The end-to-end site extractor (Figure 3): [`run_site`], the one-call
+//! form of the streaming train-once/extract-many engine in
+//! [`crate::session`], plus the records and profiles a site run produces.
+//! The stages run on the deterministic [`ceres_runtime`] executor:
 //!
 //! ```text
 //! Parse ──▶ Cluster ──▶ {Topic ▸ Annotate}   ──▶ Plan ──▶ Train  ──▶ Extract
@@ -22,9 +23,8 @@
 //! (when given) are placed by the trained template signatures
 //! ([`crate::template::Clustering::assign`]) — the same path
 //! [`crate::session::TrainedSite::extract_page`] uses for pages that
-//! arrive long after training, so `run_site` is the streaming API run
-//! back-to-back and is byte-identical to it by construction (and by the
-//! `tests/session.rs` equivalence suite).
+//! arrive long after training: `run_site` is the streaming API run
+//! back-to-back.
 //!
 //! CERES-FULL and CERES-TOPIC are this same pipeline run with
 //! [`AnnotationMode::Full`] vs [`AnnotationMode::TopicOnly`].
@@ -32,10 +32,8 @@
 pub use crate::annotate::AnnotationMode;
 use crate::config::CeresConfig;
 use crate::extract::Extraction;
-use crate::page::PageView;
-use crate::session::{train_views_on, INGEST_MATCH_CACHE_CAP};
-use ceres_kb::{Kb, MatchCache};
-use ceres_runtime::{auto_chunk, Runtime};
+use crate::session::SiteSession;
+use ceres_kb::Kb;
 use ceres_store::{Decode, Encode, Error as StoreError, Reader, Writer};
 
 /// Topic decision for one annotation-half page (evaluation input for
@@ -174,12 +172,18 @@ pub struct StageTime {
     /// counted in every build; 0 when the stage ran inline (one thread, or
     /// too little work to split). The counter is process-global, so
     /// concurrent sessions bleed into each other's counts, which is fine
-    /// for the single-pipeline bench/repro use.
+    /// for the single-pipeline `repro --stats` use.
     pub pool_jobs: u64,
 }
 
 /// Per-stage wall-time profile of one site run: Parse → Cluster →
 /// {Topic ▸ Annotate} → Plan → Train → Extract.
+///
+/// `parse` is the time the session spent *blocked* on parsing (inside
+/// `push_page` and the final drain before training), not the total parse
+/// work: parsing that overlapped the caller's page loop is free. For
+/// [`run_site`], whose page loop only clones in-memory pages, nearly all
+/// of the parse wall time is blocked time.
 ///
 /// Deliberately **not** part of [`SiteRunStats`]: stats are compared for
 /// byte-identity across thread counts (`tests/parallelism.rs`) and
@@ -197,20 +201,9 @@ pub struct StageProfile {
     pub extract: StageTime,
 }
 
-impl StageTime {
-    /// Time `f`, attributing its wall clock and pool-job delta to one
-    /// stage — how callers outside this crate (e.g. the eval harness,
-    /// which runs extraction itself) fill a [`StageProfile`] slot.
-    pub fn measure<R>(f: impl FnOnce() -> R) -> (StageTime, R) {
-        let t = StageTimer::start();
-        let r = f();
-        (t.stop(), r)
-    }
-}
-
 impl StageProfile {
     /// The stages in pipeline order, labeled — the iteration every report
-    /// (bench JSON, `repro --stats`) renders from.
+    /// (`repro --stats`) renders from.
     pub fn stages(&self) -> [(&'static str, StageTime); 6] {
         [
             ("parse", self.parse),
@@ -297,11 +290,11 @@ pub struct SiteRun {
     /// Train-stage duplicate-folding totals (execution detail, outside the
     /// equality and serialization contracts — see [`TrainFoldStats`]).
     pub fold: TrainFoldStats,
-    /// Ingest/serve health ledger (quarantine, assign-confidence). Like
-    /// `profile` and `fold` it lives beside the stats, outside both the
-    /// equality contract and the artifact codec — the batch entry points
-    /// ingest pre-vetted fixtures and leave it empty; session-built runs
-    /// carry the session's ledger (see [`crate::session::SessionHealth`]).
+    /// Ingest/serve health ledger (quarantine, assign-confidence) of the
+    /// session that produced the run — [`run_site`] included, whose ledger
+    /// reports every ingested page as ok. Like `profile` and `fold` it
+    /// lives beside the stats, outside both the equality contract and the
+    /// artifact codec (see [`crate::session::SessionHealth`]).
     pub health: crate::session::SessionHealth,
 }
 
@@ -313,11 +306,16 @@ pub struct SiteRun {
 ///   annotation pages themselves (the CommonCrawl protocol, where the
 ///   whole site is both annotated and harvested).
 ///
-/// This is the train-once/extract-many session run back-to-back on the
-/// same engine, with one batch advantage: the page slices are already
-/// materialized, so parsing borrows them (a bulk `par_map`, no per-page
-/// string copies and no reorder buffer — those exist for producers that
-/// stream pages in, which is [`crate::session::SiteSession`]'s job).
+/// This is the train-once/extract-many [`SiteSession`] run back-to-back:
+/// ingest the annotation pages, [`SiteSession::finish_training`], then
+/// serve the extraction pages with [`TrainedSite::extract_batch`] (or the
+/// training pages with [`TrainedSite::extract_training_pages`]). Threads
+/// come from `cfg.threads` (then `CERES_THREADS`, then the machine);
+/// output is byte-identical for every thread count. The returned run
+/// carries the session's health ledger (`pages_ok` = pages ingested).
+///
+/// [`TrainedSite::extract_batch`]: crate::session::TrainedSite::extract_batch
+/// [`TrainedSite::extract_training_pages`]: crate::session::TrainedSite::extract_training_pages
 pub fn run_site(
     kb: &Kb,
     annotation_pages: &[(String, String)],
@@ -325,64 +323,16 @@ pub fn run_site(
     cfg: &CeresConfig,
     mode: AnnotationMode,
 ) -> SiteRun {
-    let rt = Runtime::with_threads(cfg.threads);
-    let parse_t = StageTimer::start();
-    // Parse in page chunks, one shared read-through MatchCache per chunk:
-    // template pages repeat field strings, so the chunk's KB lookups fold
-    // to one per distinct string. Chunk-major order + in-order flatten
-    // keep the output byte-identical to per-page building (the cache
-    // cannot change a match result), at every thread count.
-    let chunk = auto_chunk(annotation_pages.len(), rt.threads());
-    let page_chunks: Vec<&[(String, String)]> = annotation_pages.chunks(chunk.max(1)).collect();
-    let ann_views: Vec<PageView> = rt
-        .par_map_chunked(&page_chunks, 1, |pages| {
-            let mut cache = MatchCache::new(kb, INGEST_MATCH_CACHE_CAP);
-            pages
-                .iter()
-                .map(|(id, html)| PageView::build_with_cache(id, html, kb, &mut cache))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let parse = parse_t.stop();
-    let core = train_views_on(&rt, kb, &ann_views, cfg, mode);
+    let mut session = SiteSession::builder(kb).config(cfg.clone()).mode(mode).build();
+    session.ingest(annotation_pages.iter().cloned());
+    let trained = session.finish_training();
     let extract_t = StageTimer::start();
     let (extractions, n_ext) = match extraction_pages {
-        Some(pages) => (core.extract_pages_on(&rt, kb, pages), pages.len()),
-        None => (core.extract_members_on(&rt, &ann_views), ann_views.len()),
+        Some(pages) => (trained.extract_batch(pages), pages.len()),
+        None => (trained.extract_training_pages(), trained.n_training_pages()),
     };
     let extract = extract_t.stop();
-    let mut run = core.into_site_run(extractions, n_ext);
-    run.profile.parse = parse;
-    run.profile.extract = extract;
-    run
-}
-
-/// [`run_site`] over pre-built [`PageView`]s (benchmarks parse once).
-/// Threads come from `cfg.threads` (then `CERES_THREADS`, then the
-/// machine); output is byte-identical for every thread count.
-pub fn run_site_views(
-    kb: &Kb,
-    ann_views: &[PageView],
-    ext_views: Option<&[PageView]>,
-    cfg: &CeresConfig,
-    mode: AnnotationMode,
-) -> SiteRun {
-    let rt = Runtime::with_threads(cfg.threads);
-    let core = train_views_on(&rt, kb, ann_views, cfg, mode);
-    let extract_t = StageTimer::start();
-    let (extractions, n_ext) = match ext_views {
-        // Unseen pages go through the template-assignment path, one task
-        // per page, merged in page order.
-        Some(ext) => (core.extract_views_on(&rt, ext), ext.len()),
-        // The whole-site protocol extracts from the training pages via
-        // their recorded cluster membership (cluster order, then page
-        // order — the classic batch layout).
-        None => (core.extract_members_on(&rt, ann_views), ann_views.len()),
-    };
-    let extract = extract_t.stop();
-    let mut run = core.into_site_run(extractions, n_ext);
+    let mut run = trained.into_site_run(extractions, n_ext);
     run.profile.extract = extract;
     run
 }

@@ -8,7 +8,7 @@
 //!  ingest                      train                      serve
 //!  ──────                      ─────                      ─────
 //!  SiteSession::push_page ──▶  finish_training()    ──▶   TrainedSite::extract_page
-//!  (parse overlaps the         (Cluster ▸ Topic/Annotate  extract_batch / extract_views
+//!  (parse overlaps the         (Cluster ▸ Topic/Annotate  extract_batch / extract_view
 //!   caller's fetch loop         ▸ Plan ▸ Train; freezes   (&self, thread-safe: many
 //!   via a bounded reorder       models + template          callers extract concurrently,
 //!   buffer)                     signatures)                no re-training, ever)
@@ -29,9 +29,9 @@
 //!   takes `&self`, so one trained site can serve many extracting threads
 //!   simultaneously and indefinitely.
 //!
-//! [`run_site`](crate::pipeline::run_site) and friends are thin wrappers
-//! over this module (one engine, proven byte-identical by the equivalence
-//! suite in `tests/session.rs`).
+//! [`run_site`](crate::pipeline::run_site) is this session run
+//! back-to-back (ingest, train, extract). `tests/session.rs` pins its
+//! output across thread counts and ingest-ahead caps.
 //!
 //! ## Fault isolation
 //!
@@ -264,11 +264,12 @@ pub struct DriftWatchdog {
 }
 
 impl DriftWatchdog {
-    /// A watchdog with `cfg`'s thresholds (window and `min_samples` are
-    /// clamped to ≥ 1).
+    /// A watchdog with `cfg`'s thresholds. `window` is clamped to ≥ 1 and
+    /// `min_samples` to `1..=window`: the window never holds more than
+    /// `window` observations, so a larger `min_samples` could never fire.
     pub fn new(cfg: DriftConfig) -> DriftWatchdog {
-        let cfg =
-            DriftConfig { window: cfg.window.max(1), min_samples: cfg.min_samples.max(1), ..cfg };
+        let window = cfg.window.max(1);
+        let cfg = DriftConfig { window, min_samples: cfg.min_samples.clamp(1, window), ..cfg };
         DriftWatchdog {
             window: std::collections::VecDeque::with_capacity(cfg.window),
             cfg,
@@ -401,50 +402,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One cluster's frozen model: everything its extract tasks read.
-pub(crate) struct ClusterModel {
-    pub(crate) model: LogReg,
-    pub(crate) space: FeatureSpace,
-    pub(crate) class_map: ClassMap,
-    pub(crate) n_train_examples: usize,
-    pub(crate) n_features: usize,
-    pub(crate) n_classes: usize,
-}
-
-/// The trained engine state shared by [`TrainedSite`] and the batch
-/// wrappers in [`crate::pipeline`]: per-cluster models, the template
-/// signatures for cluster assignment, and the training-side records.
-pub(crate) struct TrainedCore {
-    clustering: Clustering,
-    /// Trained-eligible clusters' page-index lists (cluster order).
-    plans: Vec<Vec<usize>>,
-    /// Sorted-cluster index → index into `plans`/`models` (clusters that
-    /// failed the size filter map to `None`).
-    plan_of_cluster: Vec<Option<usize>>,
-    models: Vec<Option<ClusterModel>>,
-    stats: SiteRunStats,
-    topic_records: Vec<TopicRecord>,
-    annotation_records: Vec<AnnotationRecord>,
-    extract_cfg: ExtractConfig,
-    /// Wall-time profile of the training stages that produced this core
-    /// (all-zero when the core was loaded from an artifact — see
-    /// [`StageProfile`]).
-    pub(crate) profile: StageProfile,
-    /// Duplicate-folding totals of the Train stage, summed over clusters
-    /// (zeros when loaded from an artifact — see [`TrainFoldStats`]).
-    pub(crate) fold: TrainFoldStats,
+struct ClusterModel {
+    model: LogReg,
+    space: FeatureSpace,
+    class_map: ClassMap,
+    n_train_examples: usize,
+    n_features: usize,
+    n_classes: usize,
 }
 
 /// Run the training side of the pipeline — Cluster → {Topic ▸ Annotate} →
-/// Plan → Train — over pre-parsed views, exactly as the staged batch
-/// pipeline always has (same stage order, same ordered merges, so the
-/// output is byte-identical at every thread count).
-pub(crate) fn train_views_on(
+/// Plan → Train — over the parsed training views (same stage order, same
+/// ordered merges, so the output is byte-identical at every thread
+/// count), and freeze the result into a [`TrainedSite`] that keeps the
+/// views for [`TrainedSite::extract_training_pages`]. The caller fills in
+/// the parse profile and the health ledger.
+fn train_views_on<'kb>(
     rt: &Runtime,
-    kb: &Kb,
-    views: &[PageView],
+    kb: &'kb Kb,
+    views: Vec<PageView>,
     cfg: &CeresConfig,
     mode: AnnotationMode,
-) -> TrainedCore {
+) -> TrainedSite<'kb> {
     let mut stats = SiteRunStats { n_annotation_pages: views.len(), ..Default::default() };
     let mut topic_records = Vec::new();
     let mut annotation_records = Vec::new();
@@ -593,7 +572,9 @@ pub(crate) fn train_views_on(
     }
     profile.train = stage_t.stop();
 
-    TrainedCore {
+    TrainedSite {
+        kb,
+        rt: *rt,
         clustering,
         plans,
         plan_of_cluster,
@@ -604,108 +585,10 @@ pub(crate) fn train_views_on(
         extract_cfg: cfg.extract.clone(),
         profile,
         fold,
-    }
-}
-
-impl TrainedCore {
-    /// The model serving `view`, via the template-assignment path.
-    fn model_for(&self, view: &PageView) -> Option<&ClusterModel> {
-        let ci = self.clustering.assign(view)?;
-        let pi = self.plan_of_cluster[ci]?;
-        self.models[pi].as_ref()
-    }
-
-    /// Extract from one page not seen at train time: assign it to a
-    /// template cluster, apply that cluster's model.
-    pub(crate) fn extract_one(&self, view: &PageView) -> Vec<Extraction> {
-        match self.model_for(view) {
-            Some(cm) => extract_page(view, &cm.model, &cm.space, &cm.class_map, &self.extract_cfg),
-            None => Vec::new(),
-        }
-    }
-
-    /// Outcome-typed [`TrainedCore::extract_one`]: the same assignment
-    /// walk, but "matched no trained template" is reported as
-    /// [`ExtractOutcome::Unassigned`] with the near-miss similarity
-    /// instead of being flattened into an empty extraction list. Index
-    /// walks use `get` so even a hostile artifact that slipped past load
-    /// validation degrades to `Unassigned`, never a panic.
-    pub(crate) fn try_extract_one(&self, view: &PageView) -> ExtractOutcome {
-        let scored = self.clustering.assign_scored(view);
-        let model = scored
-            .cluster
-            .and_then(|ci| self.plan_of_cluster.get(ci).copied().flatten())
-            .and_then(|pi| self.models.get(pi).and_then(|m| m.as_ref()));
-        match model {
-            Some(cm) => ExtractOutcome::Ok(extract_page(
-                view,
-                &cm.model,
-                &cm.space,
-                &cm.class_map,
-                &self.extract_cfg,
-            )),
-            None => ExtractOutcome::Unassigned { best_sim: scored.best_sim },
-        }
-    }
-
-    /// Extract from unseen pre-parsed views (assignment path), one task
-    /// per page, results merged in page order.
-    pub(crate) fn extract_views_on(&self, rt: &Runtime, views: &[PageView]) -> Vec<Extraction> {
-        rt.par_map(views, |view| self.extract_one(view)).into_iter().flatten().collect()
-    }
-
-    /// Extract from unseen raw pages: parse (borrowing the slice — no
-    /// string copies) + assign + extract, one task per page, merged in
-    /// page order.
-    pub(crate) fn extract_pages_on(
-        &self,
-        rt: &Runtime,
-        kb: &Kb,
-        pages: &[(String, String)],
-    ) -> Vec<Extraction> {
-        rt.par_map(pages, |(id, html)| self.extract_one(&PageView::build(id, html, kb)))
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Extract from the training pages themselves (the CommonCrawl
-    /// protocol) using their recorded cluster **membership** — no
-    /// re-assignment — one task per (cluster, page), merged in cluster
-    /// order then page order, exactly as the batch pipeline always has.
-    pub(crate) fn extract_members_on(&self, rt: &Runtime, views: &[PageView]) -> Vec<Extraction> {
-        // Each task carries its cluster's model directly: untrained
-        // clusters are filtered out while the task is built, so the hot
-        // closure below holds a `&ClusterModel` by construction instead of
-        // re-deriving (and `expect`ing) it per page.
-        let tasks: Vec<(&ClusterModel, &PageView)> = self
-            .plans
-            .iter()
-            .zip(&self.models)
-            .filter_map(|(plan, model)| model.as_ref().map(|cm| (plan, cm)))
-            .flat_map(|(plan, cm)| plan.iter().map(move |&i| (cm, &views[i])))
-            .collect();
-        let extracted: Vec<Vec<Extraction>> = rt.par_map(&tasks, |&(cm, page)| {
-            extract_page(page, &cm.model, &cm.space, &cm.class_map, &self.extract_cfg)
-        });
-        extracted.into_iter().flatten().collect()
-    }
-
-    pub(crate) fn into_site_run(
-        mut self,
-        extractions: Vec<Extraction>,
-        n_extraction_pages: usize,
-    ) -> SiteRun {
-        self.stats.n_extraction_pages = n_extraction_pages;
-        SiteRun {
-            extractions,
-            topic_records: self.topic_records,
-            annotation_records: self.annotation_records,
-            stats: self.stats,
-            profile: self.profile,
-            fold: self.fold,
-            health: SessionHealth::default(),
-        }
+        train_views: views,
+        health: SessionHealth::default(),
+        guards: cfg.guards.clone(),
+        drift: cfg.drift.clone(),
     }
 }
 
@@ -792,7 +675,6 @@ pub struct SiteSessionBuilder<'kb> {
     kb: &'kb Kb,
     cfg: CeresConfig,
     mode: AnnotationMode,
-    ingest_ahead: Option<usize>,
 }
 
 impl<'kb> SiteSessionBuilder<'kb> {
@@ -808,22 +690,10 @@ impl<'kb> SiteSessionBuilder<'kb> {
         self
     }
 
-    /// Cap on parse micro-batches in flight during ingest (the reorder
-    /// buffer's in-flight limit; each batch holds up to a few pages — see
-    /// [`SiteSession::push_page`]). Overrides [`CeresConfig::ingest_ahead`];
-    /// the default is twice the worker-thread count.
-    pub fn ingest_ahead(mut self, cap: usize) -> Self {
-        self.ingest_ahead = Some(cap);
-        self
-    }
-
     /// Open the session.
     pub fn build(self) -> SiteSession<'kb> {
         let rt = Runtime::with_threads(self.cfg.threads);
-        let cap = self
-            .ingest_ahead
-            .or(self.cfg.ingest_ahead)
-            .unwrap_or_else(|| (rt.threads() * 2).max(1));
+        let cap = self.cfg.ingest_ahead.unwrap_or_else(|| (rt.threads() * 2).max(1));
         let kb = self.kb;
         let guards = self.cfg.guards.clone();
         // One stream serves both ingest flavors. Each item is a parse
@@ -898,15 +768,15 @@ type IngestBatchResult = Vec<IngestResult>;
 /// strings). Sized to hold every distinct field string a micro-batch of
 /// template pages realistically produces; eviction beyond it is
 /// deterministic FIFO and can only cost repeat lookups, never change one.
-pub(crate) const INGEST_MATCH_CACHE_CAP: usize = 1 << 12;
+const INGEST_MATCH_CACHE_CAP: usize = 1 << 12;
 
 /// The ingest/train phase of the streaming pipeline: pages are pushed in
 /// as they arrive (parsing overlaps the caller's fetch loop), then
 /// [`SiteSession::finish_training`] freezes a [`TrainedSite`].
 ///
-/// Output is byte-identical to the batch [`crate::pipeline::run_site`] fed
-/// the same pages in the same order, at every thread count and every
-/// ingest-ahead cap (see `tests/session.rs`).
+/// Output depends only on the pages and their order: it is byte-identical
+/// at every thread count and every [`CeresConfig::ingest_ahead`] cap (see
+/// `tests/session.rs`).
 pub struct SiteSession<'kb> {
     kb: &'kb Kb,
     cfg: CeresConfig,
@@ -941,12 +811,7 @@ pub struct SiteSession<'kb> {
 impl<'kb> SiteSession<'kb> {
     /// Start building a session against `kb`.
     pub fn builder(kb: &Kb) -> SiteSessionBuilder<'_> {
-        SiteSessionBuilder {
-            kb,
-            cfg: CeresConfig::default(),
-            mode: AnnotationMode::Full,
-            ingest_ahead: None,
-        }
+        SiteSessionBuilder { kb, cfg: CeresConfig::default(), mode: AnnotationMode::Full }
     }
 
     /// Ingest one `(page id, html)` pair. Parsing is handed to the worker
@@ -1091,18 +956,11 @@ impl<'kb> SiteSession<'kb> {
             ms: self.parse_ms,
             pool_jobs: pool_jobs_now().saturating_sub(self.jobs_at_open),
         };
-        let mut core = train_views_on(&self.rt, self.kb, &self.views, &self.cfg, self.mode);
-        core.profile.parse = parse;
         self.health.pages_ok = self.views.len();
-        TrainedSite {
-            kb: self.kb,
-            rt: self.rt,
-            core,
-            train_views: self.views,
-            health: self.health,
-            guards: self.cfg.guards,
-            drift: self.cfg.drift,
-        }
+        let mut site = train_views_on(&self.rt, self.kb, self.views, &self.cfg, self.mode);
+        site.profile.parse = parse;
+        site.health = self.health;
+        site
     }
 }
 
@@ -1114,7 +972,26 @@ impl<'kb> SiteSession<'kb> {
 pub struct TrainedSite<'kb> {
     kb: &'kb Kb,
     rt: Runtime,
-    core: TrainedCore,
+    clustering: Clustering,
+    /// Trained-eligible clusters' page-index lists (cluster order).
+    plans: Vec<Vec<usize>>,
+    /// Sorted-cluster index → index into `plans`/`models` (clusters that
+    /// failed the size filter map to `None`).
+    plan_of_cluster: Vec<Option<usize>>,
+    models: Vec<Option<ClusterModel>>,
+    stats: SiteRunStats,
+    topic_records: Vec<TopicRecord>,
+    annotation_records: Vec<AnnotationRecord>,
+    extract_cfg: ExtractConfig,
+    /// Wall-time profile of the training stages that produced this site
+    /// (all-zero when the site was loaded from an artifact — see
+    /// [`StageProfile`]).
+    profile: StageProfile,
+    /// Duplicate-folding totals of the Train stage, summed over clusters
+    /// (zeros when loaded from an artifact — see [`TrainFoldStats`]).
+    fold: TrainFoldStats,
+    /// The parsed training pages (empty after `load` or
+    /// [`TrainedSite::take_training_views`]).
     train_views: Vec<PageView>,
     /// Ingest-side health ledger, carried beside the stats — outside the
     /// equality contract and the artifact codec (empty after `load`).
@@ -1133,24 +1010,34 @@ impl<'kb> TrainedSite<'kb> {
     /// it to the best-matching template cluster, and apply that cluster's
     /// model. Pages matching no trained template yield no extractions.
     pub fn extract_page(&self, id: &str, html: &str) -> Vec<Extraction> {
-        self.core.extract_one(&PageView::build(id, html, self.kb))
+        self.extract_view(&PageView::build(id, html, self.kb))
     }
 
     /// [`TrainedSite::extract_page`] over a pre-built view.
     pub fn extract_view(&self, view: &PageView) -> Vec<Extraction> {
-        self.core.extract_one(view)
+        match self.model_for(view) {
+            Some(cm) => extract_page(view, &cm.model, &cm.space, &cm.class_map, &self.extract_cfg),
+            None => Vec::new(),
+        }
     }
 
-    /// Extract from a batch of unseen pages: parse + assign + extract,
-    /// one task per page on this site's runtime, results merged in page
-    /// order (byte-identical at every thread count).
+    /// The model serving `view`, via the template-assignment path.
+    fn model_for(&self, view: &PageView) -> Option<&ClusterModel> {
+        let ci = self.clustering.assign(view)?;
+        let pi = self.plan_of_cluster[ci]?;
+        self.models[pi].as_ref()
+    }
+
+    /// Extract from a batch of unseen pages: parse (borrowing the slice —
+    /// no string copies) + assign + extract, one task per page on this
+    /// site's runtime, results merged in page order (byte-identical at
+    /// every thread count).
     pub fn extract_batch(&self, pages: &[(String, String)]) -> Vec<Extraction> {
-        self.core.extract_pages_on(&self.rt, self.kb, pages)
-    }
-
-    /// [`TrainedSite::extract_batch`] over pre-built views.
-    pub fn extract_views(&self, views: &[PageView]) -> Vec<Extraction> {
-        self.core.extract_views_on(&self.rt, views)
+        self.rt
+            .par_map(pages, |(id, html)| self.extract_view(&PageView::build(id, html, self.kb)))
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Outcome-typed [`TrainedSite::extract_page`]: vet the page against
@@ -1193,8 +1080,32 @@ impl<'kb> TrainedSite<'kb> {
 
     fn vet_and_extract(&self, id: &str, html: &str) -> ExtractOutcome {
         match PageView::try_build(id, html, self.kb, &self.guards) {
-            Ok(view) => self.core.try_extract_one(&view),
+            Ok(view) => self.try_extract_view(&view),
             Err(why) => ExtractOutcome::Failed(why),
+        }
+    }
+
+    /// Outcome-typed [`TrainedSite::extract_view`]: the same assignment
+    /// walk, but "matched no trained template" is reported as
+    /// [`ExtractOutcome::Unassigned`] with the near-miss similarity
+    /// instead of being flattened into an empty extraction list. Index
+    /// walks use `get` so even a hostile artifact that slipped past load
+    /// validation degrades to `Unassigned`, never a panic.
+    fn try_extract_view(&self, view: &PageView) -> ExtractOutcome {
+        let scored = self.clustering.assign_scored(view);
+        let model = scored
+            .cluster
+            .and_then(|ci| self.plan_of_cluster.get(ci).copied().flatten())
+            .and_then(|pi| self.models.get(pi).and_then(|m| m.as_ref()));
+        match model {
+            Some(cm) => ExtractOutcome::Ok(extract_page(
+                view,
+                &cm.model,
+                &cm.space,
+                &cm.class_map,
+                &self.extract_cfg,
+            )),
+            None => ExtractOutcome::Unassigned { best_sim: scored.best_sim },
         }
     }
 
@@ -1238,13 +1149,29 @@ impl<'kb> TrainedSite<'kb> {
     }
 
     /// Extract from the training pages themselves (the CommonCrawl
-    /// whole-site protocol) using their recorded cluster membership.
-    /// Returns nothing after [`TrainedSite::take_training_views`].
+    /// whole-site protocol) using their recorded cluster **membership** —
+    /// no re-assignment — one task per (cluster, page), merged in cluster
+    /// order then page order. Returns nothing after
+    /// [`TrainedSite::take_training_views`].
     pub fn extract_training_pages(&self) -> Vec<Extraction> {
         if self.train_views.is_empty() {
             return Vec::new();
         }
-        self.core.extract_members_on(&self.rt, &self.train_views)
+        // Each task carries its cluster's model directly: untrained
+        // clusters are filtered out while the task is built, so the hot
+        // closure below holds a `&ClusterModel` by construction instead of
+        // re-deriving (and `expect`ing) it per page.
+        let tasks: Vec<(&ClusterModel, &PageView)> = self
+            .plans
+            .iter()
+            .zip(&self.models)
+            .filter_map(|(plan, model)| model.as_ref().map(|cm| (plan, cm)))
+            .flat_map(|(plan, cm)| plan.iter().map(move |&i| (cm, &self.train_views[i])))
+            .collect();
+        let extracted: Vec<Vec<Extraction>> = self.rt.par_map(&tasks, |&(cm, page)| {
+            extract_page(page, &cm.model, &cm.space, &cm.class_map, &self.extract_cfg)
+        });
+        extracted.into_iter().flatten().collect()
     }
 
     /// Release the parsed training pages, returning them to the caller
@@ -1260,24 +1187,13 @@ impl<'kb> TrainedSite<'kb> {
     /// Which template cluster `view` would be served by, if any (an index
     /// into the training clustering, largest cluster first).
     pub fn assign(&self, view: &PageView) -> Option<usize> {
-        self.core.clustering.assign(view)
-    }
-
-    /// Whether cluster `ci` (as returned by [`TrainedSite::assign`])
-    /// carries a trained model.
-    pub fn cluster_is_trained(&self, ci: usize) -> bool {
-        self.core
-            .plan_of_cluster
-            .get(ci)
-            .copied()
-            .flatten()
-            .is_some_and(|pi| self.core.models[pi].is_some())
+        self.clustering.assign(view)
     }
 
     /// Training-side statistics (`n_extraction_pages` is 0 until a
     /// [`SiteRun`] is assembled by [`TrainedSite::into_site_run`]).
     pub fn stats(&self) -> &SiteRunStats {
-        &self.core.stats
+        &self.stats
     }
 
     /// Per-stage wall times of the training run that produced this site
@@ -1286,7 +1202,7 @@ impl<'kb> TrainedSite<'kb> {
     /// wall times are observations about a past process, not part of the
     /// model, so they are never serialized.
     pub fn profile(&self) -> &StageProfile {
-        &self.core.profile
+        &self.profile
     }
 
     /// Duplicate-folding totals of the Train stage that produced this site
@@ -1294,17 +1210,17 @@ impl<'kb> TrainedSite<'kb> {
     /// artifact: like wall times, folding counts describe a past training
     /// process and are never serialized — see [`TrainFoldStats`].
     pub fn fold_stats(&self) -> &TrainFoldStats {
-        &self.core.fold
+        &self.fold
     }
 
     /// Topic decisions recorded during training (Table 7 input).
     pub fn topic_records(&self) -> &[TopicRecord] {
-        &self.core.topic_records
+        &self.topic_records
     }
 
     /// Relation annotations recorded during training (Table 6 input).
     pub fn annotation_records(&self) -> &[AnnotationRecord] {
-        &self.core.annotation_records
+        &self.annotation_records
     }
 
     /// Number of pages the site was trained on.
@@ -1320,11 +1236,21 @@ impl<'kb> TrainedSite<'kb> {
     /// Assemble a batch-style [`SiteRun`] from this site's training
     /// records plus `extractions` produced by the serve phase. The run
     /// carries this site's ingest/serve health ledger beside the stats.
-    pub fn into_site_run(self, extractions: Vec<Extraction>, n_extraction_pages: usize) -> SiteRun {
-        let health = self.health.clone();
-        let mut run = self.core.into_site_run(extractions, n_extraction_pages);
-        run.health = health;
-        run
+    pub fn into_site_run(
+        mut self,
+        extractions: Vec<Extraction>,
+        n_extraction_pages: usize,
+    ) -> SiteRun {
+        self.stats.n_extraction_pages = n_extraction_pages;
+        SiteRun {
+            extractions,
+            topic_records: self.topic_records,
+            annotation_records: self.annotation_records,
+            stats: self.stats,
+            profile: self.profile,
+            fold: self.fold,
+            health: self.health,
+        }
     }
 
     /// Serialize this trained site into `sink` as a versioned, checksummed
@@ -1344,17 +1270,17 @@ impl<'kb> TrainedSite<'kb> {
             w.put_usize(self.kb.n_values());
             w.put_usize(self.kb.n_triples());
         })?;
-        aw.section(SEC_CONFIG.0, |w| w.put(&self.core.extract_cfg))?;
-        aw.section(SEC_CLUSTERING.0, |w| w.put(&self.core.clustering))?;
+        aw.section(SEC_CONFIG.0, |w| w.put(&self.extract_cfg))?;
+        aw.section(SEC_CLUSTERING.0, |w| w.put(&self.clustering))?;
         aw.section(SEC_PLANS.0, |w| {
-            w.put(&self.core.plans);
-            w.put(&self.core.plan_of_cluster);
+            w.put(&self.plans);
+            w.put(&self.plan_of_cluster);
         })?;
-        aw.section(SEC_MODELS.0, |w| w.put(&self.core.models))?;
-        aw.section(SEC_STATS.0, |w| w.put(&self.core.stats))?;
+        aw.section(SEC_MODELS.0, |w| w.put(&self.models))?;
+        aw.section(SEC_STATS.0, |w| w.put(&self.stats))?;
         aw.section(SEC_RECORDS.0, |w| {
-            w.put(&self.core.topic_records);
-            w.put(&self.core.annotation_records);
+            w.put(&self.topic_records);
+            w.put(&self.annotation_records);
         })?;
         aw.finish()
     }
@@ -1501,21 +1427,19 @@ impl<'kb> TrainedSite<'kb> {
         Ok(TrainedSite {
             kb,
             rt,
-            core: TrainedCore {
-                clustering,
-                plans,
-                plan_of_cluster,
-                models,
-                stats,
-                topic_records,
-                annotation_records,
-                extract_cfg,
-                // Training ran in another process; its wall times and
-                // folding counts did not cross the artifact boundary
-                // (deliberately — see `StageProfile` / `TrainFoldStats`).
-                profile: StageProfile::default(),
-                fold: TrainFoldStats::default(),
-            },
+            clustering,
+            plans,
+            plan_of_cluster,
+            models,
+            stats,
+            topic_records,
+            annotation_records,
+            extract_cfg,
+            // Training ran in another process; its wall times and
+            // folding counts did not cross the artifact boundary
+            // (deliberately — see `StageProfile` / `TrainFoldStats`).
+            profile: StageProfile::default(),
+            fold: TrainFoldStats::default(),
             // The parsed training corpus never crosses the process
             // boundary: extract_training_pages() on a loaded site is empty.
             train_views: Vec::new(),
@@ -1633,8 +1557,12 @@ mod tests {
         let cd = trained.assign(&detail_view).expect("detail page must match a cluster");
         let cr = trained.assign(&review_view).expect("review page must match a cluster");
         assert_ne!(cd, cr, "the two templates must map to different clusters");
-        assert!(trained.cluster_is_trained(cd));
-        assert!(trained.cluster_is_trained(cr));
+        // Both clusters carry a trained model: the outcome-typed serve path
+        // reports `Unassigned` for a cluster without one.
+        for (id, html) in [("d-x", &details[3].1), ("r-x", &reviews[3].1)] {
+            let outcome = trained.try_extract_page(id, html);
+            assert!(matches!(outcome, ExtractOutcome::Ok(_)), "{id}: {outcome:?}");
+        }
     }
 
     #[test]
@@ -1984,6 +1912,18 @@ mod tests {
         assert_eq!(dog.observed(), 12);
         assert_eq!(dog.unassigned_total(), 4);
         assert!((dog.near_sim_sum() - 1.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn drift_watchdog_clamps_min_samples_to_the_window() {
+        // The window holds at most 8 flags, so an unclamped min_samples of
+        // 32 would keep the watchdog silent forever.
+        let cfg = DriftConfig { window: 8, min_samples: 32, max_unassigned_rate: 0.5 };
+        let mut dog = DriftWatchdog::new(cfg);
+        for _ in 0..8 {
+            dog.observe(true, None);
+        }
+        assert_eq!(dog.signal(), DriftSignal::RetrainSuggested { unassigned_rate: 1.0, window: 8 });
     }
 
     #[test]

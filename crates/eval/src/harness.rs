@@ -3,8 +3,7 @@
 use ceres_core::baseline::{run_baseline, BaselineConfig};
 use ceres_core::extract::{ExtractLabel, Extraction};
 use ceres_core::page::PageView;
-use ceres_core::pipeline::{AnnotationMode, SiteRun};
-use ceres_core::session::SiteSession;
+use ceres_core::pipeline::{run_site, AnnotationMode, SiteRun};
 use ceres_core::vertex::{apply_rules, learn_rules, LabeledPage};
 use ceres_core::CeresConfig;
 use ceres_kb::Kb;
@@ -77,12 +76,11 @@ pub fn annotation_page_ids(site: &Site, protocol: EvalProtocol) -> Vec<&str> {
 
 /// Run a distantly-supervised system (FULL / TOPIC / BASELINE) on a site.
 ///
-/// The CERES systems go through the streaming session API: pages are
-/// pushed into a [`SiteSession`] (the protocol's training half), training
-/// is frozen once, and the evaluation half is served by the resulting
+/// The CERES systems go through [`run_site`]: the protocol's training
+/// half is ingested into a streaming session, training is frozen once,
+/// and the evaluation half is served by the resulting
 /// [`ceres_core::session::TrainedSite`] — the same train-once/extract-many
-/// path a production deployment uses, byte-identical to the batch
-/// `run_site` wrapper.
+/// path a production deployment uses.
 pub fn run_ceres_on_site(
     kb: &Kb,
     site: &Site,
@@ -101,19 +99,7 @@ pub fn run_ceres_on_site(
             return run_vertex_on_site(kb, site, protocol, 2, cfg.threads)
         }
     };
-    let mut session = SiteSession::builder(kb).config(cfg.clone()).mode(mode).build();
-    session.ingest(train);
-    let trained = session.finish_training();
-    let (extract_t, (extractions, n_ext)) = ceres_core::StageTime::measure(|| match eval {
-        Some(pages) => {
-            let n = pages.len();
-            (trained.extract_batch(&pages), n)
-        }
-        None => (trained.extract_training_pages(), trained.n_training_pages()),
-    });
-    let mut run = trained.into_site_run(extractions, n_ext);
-    run.profile.extract = extract_t;
-    run
+    run_site(kb, &train, eval.as_deref(), cfg, mode)
 }
 
 /// Run VERTEX++ with gold ("manual") labels on `n_annotated` training

@@ -55,9 +55,9 @@
 //! is busy — the pool cannot deadlock and never oversubscribes beyond its
 //! fixed worker set.
 //!
-//! [`Runtime::par_map_spawn_chunked`] keeps the original
-//! spawn-scoped-threads-per-call execution path; the equivalence suite
-//! pins pool output to spawn output byte-for-byte.
+//! The original spawn-scoped-threads-per-call execution path survives
+//! only as a reference inside this crate's tests, which pin pool output
+//! to it byte-for-byte.
 //!
 //! ## Choosing the thread count
 //!
@@ -311,84 +311,6 @@ impl Runtime {
     {
         StreamMap::new(self, cap, f)
     }
-
-    /// The original spawn-scoped-threads-per-call execution path, kept as
-    /// the reference implementation the pool is tested against (and for
-    /// callers that must not touch the shared pool). Output is
-    /// byte-identical to [`Runtime::par_map_chunked`].
-    pub fn par_map_spawn_chunked<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        use std::panic::AssertUnwindSafe;
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        let n = items.len();
-        let chunk = chunk.max(1);
-        let threads = self.threads.min(n.div_ceil(chunk));
-        if threads <= 1 {
-            return items.iter().map(f).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        // Lowest-indexed panic payload wins; only touched on the panic path.
-        let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-        let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
-
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        while !stop.load(Ordering::Relaxed) {
-                            let start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= n {
-                                break;
-                            }
-                            let end = (start + chunk).min(n);
-                            for (i, item) in items[start..end].iter().enumerate() {
-                                let i = start + i;
-                                match panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
-                                    Ok(r) => local.push((i, r)),
-                                    Err(payload) => {
-                                        stop.store(true, Ordering::Relaxed);
-                                        let mut slot = panicked.lock().unwrap();
-                                        match &*slot {
-                                            Some((j, _)) if *j <= i => {}
-                                            _ => *slot = Some((i, payload)),
-                                        }
-                                        return local;
-                                    }
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Worker closures never unwind (panics are caught above);
-                // a join error would be a runtime bug, not a user panic.
-                parts.push(h.join().expect("ceres-runtime worker did not unwind"));
-            }
-        });
-
-        if let Some((_, payload)) = panicked.into_inner().unwrap() {
-            panic::resume_unwind(payload);
-        }
-
-        // Ordered merge: scatter completion-ordered parts back by index.
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        for (i, r) in parts.into_iter().flatten() {
-            out[i] = Some(r);
-        }
-        out.into_iter().map(|r| r.expect("every index was claimed exactly once")).collect()
-    }
 }
 
 /// Chunk-size autotuning for [`Runtime::par_map`]: aim for several chunks
@@ -461,6 +383,82 @@ mod tests {
     use super::*;
     use std::panic::AssertUnwindSafe;
 
+    /// The original spawn-scoped-threads-per-call execution path: the
+    /// reference implementation the pool is tested against. Output must be
+    /// byte-identical to [`Runtime::par_map_chunked`].
+    fn par_map_spawn_chunked<T, R, F>(rt: &Runtime, items: &[T], chunk: usize, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Mutex;
+
+        let n = items.len();
+        let chunk = chunk.max(1);
+        let threads = rt.threads.min(n.div_ceil(chunk));
+        if threads <= 1 {
+            return items.iter().map(f).collect();
+        }
+
+        let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        // Lowest-indexed panic payload wins; only touched on the panic path.
+        let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
+        let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
+
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut local: Vec<(usize, R)> = Vec::new();
+                        while !stop.load(Ordering::Relaxed) {
+                            let start = next.fetch_add(chunk, Ordering::Relaxed);
+                            if start >= n {
+                                break;
+                            }
+                            let end = (start + chunk).min(n);
+                            for (i, item) in items[start..end].iter().enumerate() {
+                                let i = start + i;
+                                match panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
+                                    Ok(r) => local.push((i, r)),
+                                    Err(payload) => {
+                                        stop.store(true, Ordering::Relaxed);
+                                        let mut slot = panicked.lock().unwrap();
+                                        match &*slot {
+                                            Some((j, _)) if *j <= i => {}
+                                            _ => *slot = Some((i, payload)),
+                                        }
+                                        return local;
+                                    }
+                                }
+                            }
+                        }
+                        local
+                    })
+                })
+                .collect();
+            for h in handles {
+                // Worker closures never unwind (panics are caught above);
+                // a join error would be a runtime bug, not a user panic.
+                parts.push(h.join().expect("ceres-runtime worker did not unwind"));
+            }
+        });
+
+        if let Some((_, payload)) = panicked.into_inner().unwrap() {
+            panic::resume_unwind(payload);
+        }
+
+        // Ordered merge: scatter completion-ordered parts back by index.
+        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
+        out.resize_with(n, || None);
+        for (i, r) in parts.into_iter().flatten() {
+            out[i] = Some(r);
+        }
+        out.into_iter().map(|r| r.expect("every index was claimed exactly once")).collect()
+    }
+
     #[test]
     fn results_come_back_in_item_order() {
         let items: Vec<usize> = (0..257).collect();
@@ -499,7 +497,7 @@ mod tests {
             for chunk in [1, 3, 64, 1000] {
                 assert_eq!(
                     rt.par_map_chunked(&items, chunk, f),
-                    rt.par_map_spawn_chunked(&items, chunk, f),
+                    par_map_spawn_chunked(&rt, &items, chunk, f),
                     "threads={threads} chunk={chunk}"
                 );
             }

@@ -67,9 +67,9 @@
 //! assert!(run.extractions.iter().any(|e| e.page_id == "page-10"));
 //! ```
 //!
-//! `run_site` is the batch wrapper over the streaming session API —
-//! ingest pages as they arrive, train once, then extract from new pages
-//! forever without re-training:
+//! `run_site` is the streaming session API run back-to-back. Driven
+//! directly, the session ingests pages as they arrive, trains once, then
+//! extracts from new pages forever without re-training:
 //!
 //! ```
 //! # use ceres::prelude::*;

@@ -103,12 +103,12 @@ fn built_views_equal_naive_per_field_matching() {
     }
 }
 
-/// Views-path byte-identity at threads {1, 2, 8} with folding enabled:
-/// the full pipeline over pre-built views, and the streaming session
-/// (micro-batched ingest with per-batch caches), must produce identical
+/// `run_site` byte-identity at threads {1, 2, 8} with folding enabled:
+/// the one-call pipeline and a hand-driven streaming session
+/// (micro-batched ingest with per-batch caches) must produce identical
 /// extractions at every thread count.
 #[test]
-fn views_path_output_is_thread_invariant_with_folding() {
+fn run_site_output_is_thread_invariant_with_folding() {
     let (v, _) = movie_vertical(SwdeConfig { seed: 31, scale: 0.02 });
     let site = &v.sites[0];
     let pages: Vec<(String, String)> =
@@ -116,11 +116,7 @@ fn views_path_output_is_thread_invariant_with_folding() {
 
     let run_at = |threads: usize| {
         let cfg = CeresConfig::new(5).with_threads(threads);
-        let views: Vec<ceres::core::page::PageView> = pages
-            .iter()
-            .map(|(id, html)| ceres::core::page::PageView::build(id, html, &v.kb))
-            .collect();
-        ceres::core::pipeline::run_site_views(&v.kb, &views, None, &cfg, AnnotationMode::Full)
+        run_site(&v.kb, &pages, None, &cfg, AnnotationMode::Full)
     };
     let stream_at = |threads: usize| {
         let cfg = CeresConfig::new(5).with_threads(threads);
@@ -136,11 +132,11 @@ fn views_path_output_is_thread_invariant_with_folding() {
     let serial_stream = stream_at(1);
     for threads in [2usize, 8] {
         let run = run_at(threads);
-        assert_eq!(serial.extractions, run.extractions, "views path diverged at t={threads}");
-        assert_eq!(serial.stats, run.stats, "views stats diverged at t={threads}");
+        assert_eq!(serial.extractions, run.extractions, "run_site diverged at t={threads}");
+        assert_eq!(serial.stats, run.stats, "run_site stats diverged at t={threads}");
         let streamed = stream_at(threads);
         assert_eq!(serial_stream, streamed, "streaming session diverged at t={threads}");
     }
-    // Batch and streaming agree with each other, too.
-    assert_eq!(serial.extractions, serial_stream, "views path vs streaming session");
+    // The one-call and hand-driven forms agree with each other, too.
+    assert_eq!(serial.extractions, serial_stream, "run_site vs streaming session");
 }

@@ -1,8 +1,9 @@
-//! Equivalence suite for the streaming train-once/extract-many API:
-//! `SiteSession` → `TrainedSite` must be **byte-identical** to the batch
-//! `run_site` wrapper fed the same pages, at threads {1, 2, 8} and at any
-//! ingest-ahead cap, and out-of-order parse completions inside the ingest
-//! reorder buffer must never change output.
+//! Invariance suite for the one site-run engine, the streaming
+//! train-once/extract-many API: `SiteSession` → `TrainedSite` output is
+//! **byte-identical** at threads {1, 2, 8} and at any ingest-ahead cap,
+//! whether driven page by page or through its one-call form `run_site`,
+//! and out-of-order parse completions inside the ingest reorder buffer
+//! never change it.
 
 use ceres::core::page::PageView;
 use ceres::eval::harness::{protocol_pages, EvalProtocol};
@@ -229,10 +230,9 @@ proptest! {
             (v, pages, reference)
         });
 
-        let mut s = SiteSession::builder(&v.kb)
-            .config(CeresConfig::new(7).with_threads(threads))
-            .ingest_ahead(cap)
-            .build();
+        let mut cfg = CeresConfig::new(7).with_threads(threads);
+        cfg.ingest_ahead = Some(cap);
+        let mut s = SiteSession::builder(&v.kb).config(cfg).build();
         for (id, html) in pages {
             s.push_page(id.clone(), html.clone());
         }
