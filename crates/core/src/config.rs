@@ -242,13 +242,6 @@ pub struct CeresConfig {
     /// Pipeline output is byte-identical for every value (README:
     /// "Parallelism & determinism").
     pub threads: Option<usize>,
-    /// Cap on parse micro-batches in flight while a
-    /// [`crate::session::SiteSession`] ingests (the reorder buffer's
-    /// in-flight limit; each batch holds up to a few pages — see
-    /// [`crate::session::SiteSession::push_page`]). `None` = twice the
-    /// worker-thread count. Output is byte-identical for every value; the
-    /// cap only bounds memory and overlap during ingest.
-    pub ingest_ahead: Option<usize>,
     /// Page guards for the fault-isolating ingest/serve paths (the
     /// fail-fast paths ignore them).
     pub guards: GuardConfig,
@@ -270,7 +263,6 @@ impl Default for CeresConfig {
             template: TemplateConfig::default(),
             max_annotated_pages: None,
             threads: None,
-            ingest_ahead: None,
             guards: GuardConfig::default(),
             drift: DriftConfig::default(),
         }

@@ -19,7 +19,7 @@
 //!   CERES-TOPIC are the same pipeline with different annotation modes);
 //! * [`session`] — the streaming train-once/extract-many API the batch
 //!   pipeline wraps: [`session::SiteSession`] ingests pages as they
-//!   arrive (parse overlaps the caller's fetch loop), trains once, and
+//!   arrive (parsed in bounded, ordered blocks on the pool), trains once, and
 //!   freezes a thread-safe [`session::TrainedSite`] that extracts from
 //!   new pages indefinitely — and persists: [`session::TrainedSite::save`]
 //!   writes a versioned `ceres-store` artifact that

@@ -179,11 +179,10 @@ pub struct StageTime {
 /// Per-stage wall-time profile of one site run: Parse → Cluster →
 /// {Topic ▸ Annotate} → Plan → Train → Extract.
 ///
-/// `parse` is the time the session spent *blocked* on parsing (inside
-/// `push_page` and the final drain before training), not the total parse
-/// work: parsing that overlapped the caller's page loop is free. For
-/// [`run_site`], whose page loop only clones in-memory pages, nearly all
-/// of the parse wall time is blocked time.
+/// `parse` is the time the session spent parsing: the bounded block
+/// flushes inside `push_page` plus the final one before training. Ingest
+/// does not overlap the caller's page loop, so this is the whole parse
+/// wall time.
 ///
 /// Deliberately **not** part of [`SiteRunStats`]: stats are compared for
 /// byte-identity across thread counts (`tests/parallelism.rs`) and

@@ -8,19 +8,19 @@
 //!  ingest                      train                      serve
 //!  ──────                      ─────                      ─────
 //!  SiteSession::push_page ──▶  finish_training()    ──▶   TrainedSite::extract_page
-//!  (parse overlaps the         (Cluster ▸ Topic/Annotate  extract_batch / extract_view
-//!   caller's fetch loop         ▸ Plan ▸ Train; freezes   (&self, thread-safe: many
-//!   via a bounded reorder       models + template          callers extract concurrently,
-//!   buffer)                     signatures)                no re-training, ever)
+//!  (pages parse in bounded,    (Cluster ▸ Topic/Annotate  extract_batch / extract_view
+//!   ordered blocks on the       ▸ Plan ▸ Train; freezes   (&self, thread-safe: many
+//!   worker pool)                models + template          callers extract concurrently,
+//!                               signatures)                no re-training, ever)
 //! ```
 //!
-//! * **Ingest** — [`SiteSession::push_page`] collects pages into small
-//!   parse micro-batches and hands each batch to the runtime's bounded
-//!   reorder buffer ([`ceres_runtime::StreamMap`]): parsing runs on pool
-//!   workers (one job and one shared KB [`MatchCache`] per batch) while
-//!   the caller fetches/decompresses the next page, and parsed views
-//!   surface in input order, so the session is byte-identical to batch
-//!   parsing at every thread count and batch size.
+//! * **Ingest** — [`SiteSession::push_page`] queues pages; once
+//!   `2 × threads` micro-batches are waiting (and at
+//!   [`SiteSession::finish_training`]) the queue is parsed with one
+//!   [`Runtime::par_map`] over its micro-batches, each with its own
+//!   read-through KB [`MatchCache`]. Results are absorbed in micro-batch
+//!   order, so the session is byte-identical to sequential parsing at
+//!   every thread count.
 //! * **Train** — [`SiteSession::finish_training`] runs the training-side
 //!   stages once and freezes everything extraction needs: per-cluster
 //!   `(LogReg, FeatureSpace, ClassMap)` triples plus the template
@@ -31,7 +31,7 @@
 //!
 //! [`run_site`](crate::pipeline::run_site) is this session run
 //! back-to-back (ingest, train, extract). `tests/session.rs` pins its
-//! output across thread counts and ingest-ahead caps.
+//! output across thread counts and page counts.
 //!
 //! ## Fault isolation
 //!
@@ -72,7 +72,7 @@ use crate::template::{cluster_site, Clustering};
 use crate::topic::identify_topics;
 use ceres_kb::{Kb, MatchCache};
 use ceres_ml::LogReg;
-use ceres_runtime::{auto_chunk_coarse, Runtime, StreamMap};
+use ceres_runtime::{auto_chunk_coarse, Runtime};
 use ceres_store::{
     ArtifactReader, ArtifactWriter, Decode, Encode, Error as StoreError, Fnv64, Reader, Writer,
 };
@@ -693,58 +693,18 @@ impl<'kb> SiteSessionBuilder<'kb> {
     /// Open the session.
     pub fn build(self) -> SiteSession<'kb> {
         let rt = Runtime::with_threads(self.cfg.threads);
-        let cap = self.cfg.ingest_ahead.unwrap_or_else(|| (rt.threads() * 2).max(1));
-        let kb = self.kb;
-        let guards = self.cfg.guards.clone();
-        // One stream serves both ingest flavors. Each item is a parse
-        // micro-batch sharing one read-through MatchCache (field strings
-        // repeat heavily across a template site's pages), so one pool job
-        // amortizes its dispatch over several pages — the fix for parse's
-        // one-job-per-page parallel regression on low-core hosts.
-        // Unguarded pages (legacy `push_page`) parse exactly as before —
-        // no guards, and a parse panic re-raises fail-fast on the popping
-        // thread. Guarded pages (`try_push_page`) are vetted, with panics
-        // contained into a typed quarantine entry instead of unwinding the
-        // session. A contained panic can only fire before matching (guard
-        // checks, the parse itself, the injected fault marker), so the
-        // shared cache is never caught mid-mutation — and being
-        // read-through over the immutable KB, it cannot change any result
-        // either way.
-        let parser = move |batch: IngestBatch| -> IngestBatchResult {
-            let mut cache = MatchCache::new(kb, INGEST_MATCH_CACHE_CAP);
-            batch
-                .into_iter()
-                .map(|(id, html, guarded)| {
-                    if !guarded {
-                        return Ok(PageView::build_with_cache(&id, &html, kb, &mut cache));
-                    }
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        PageView::try_build_with_cache(&id, &html, kb, &guards, &mut cache)
-                    })) {
-                        Ok(Ok(view)) => Ok(view),
-                        Ok(Err(why)) => Err((id, why)),
-                        Err(payload) => Err((
-                            id,
-                            PageError::Panicked { message: panic_message(payload.as_ref()) },
-                        )),
-                    }
-                })
-                .collect()
-        };
         SiteSession {
-            kb,
+            kb: self.kb,
             cfg: self.cfg,
             mode: self.mode,
-            // The coarse autotuner's asymptote: a stream has no known item
+            // The coarse autotuner's asymptote: ingest has no known page
             // count, so size batches as auto_chunk_coarse sizes chunks for
-            // an unbounded input. Batch size never affects output (the
-            // stream preserves input order and the cache is read-through),
-            // only job granularity.
+            // an unbounded input. Batch size never affects output (blocks
+            // are absorbed in order and the cache is read-through), only
+            // job granularity.
             batch_size: auto_chunk_coarse(usize::MAX, rt.threads()),
             rt,
-            stream: StreamMap::new(&rt, cap, parser),
             pending: Vec::new(),
-            in_flight_pages: 0,
             views: Vec::new(),
             health: SessionHealth::default(),
             seen_ids: std::collections::HashSet::new(),
@@ -754,15 +714,15 @@ impl<'kb> SiteSessionBuilder<'kb> {
     }
 }
 
-/// `(page id, html, guarded)` — one page of an ingest micro-batch.
+/// `(page id, html, guarded)` — one page waiting to be parsed.
 type IngestItem = (String, String, bool);
-/// A parse micro-batch: the unit handed to the worker pool (one pool job
-/// and one shared [`MatchCache`] per batch).
-type IngestBatch = Vec<IngestItem>;
 /// Parsed view, or `(page id, why)` for a guarded page that was refused.
 type IngestResult = Result<PageView, (String, PageError)>;
-/// Per-page outcomes of one micro-batch, in push order.
-type IngestBatchResult = Vec<IngestResult>;
+
+/// Micro-batches per worker thread the session lets queue up before it
+/// parses them: the bound on unparsed pages is
+/// `PENDING_BATCHES_PER_THREAD × threads × batch_size`.
+const PENDING_BATCHES_PER_THREAD: usize = 2;
 
 /// Capacity of the per-batch ingest [`MatchCache`] (distinct normalized
 /// strings). Sized to hold every distinct field string a micro-batch of
@@ -770,27 +730,57 @@ type IngestBatchResult = Vec<IngestResult>;
 /// deterministic FIFO and can only cost repeat lookups, never change one.
 const INGEST_MATCH_CACHE_CAP: usize = 1 << 12;
 
+/// Parse one ingest micro-batch in push order. Its pages share one
+/// read-through [`MatchCache`]: field strings repeat heavily across a
+/// template site's pages.
+///
+/// Unguarded pages (`push_page`) parse with no guards, and a parse panic
+/// unwinds fail-fast out of the session. Guarded pages (`try_push_page`)
+/// are vetted, with panics contained into a typed quarantine entry
+/// instead. A contained panic can only fire before matching (guard
+/// checks, the parse itself, the injected fault marker), so the shared
+/// cache is never caught mid-mutation — and being read-through over the
+/// immutable KB, it cannot change any result either way.
+fn parse_batch(kb: &Kb, guards: &GuardConfig, batch: &[IngestItem]) -> Vec<IngestResult> {
+    let mut cache = MatchCache::new(kb, INGEST_MATCH_CACHE_CAP);
+    batch
+        .iter()
+        .map(|(id, html, guarded)| {
+            if !guarded {
+                return Ok(PageView::build_with_cache(id, html, kb, &mut cache));
+            }
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                PageView::try_build_with_cache(id, html, kb, guards, &mut cache)
+            })) {
+                Ok(Ok(view)) => Ok(view),
+                Ok(Err(why)) => Err((id.clone(), why)),
+                Err(payload) => Err((
+                    id.clone(),
+                    PageError::Panicked { message: panic_message(payload.as_ref()) },
+                )),
+            }
+        })
+        .collect()
+}
+
 /// The ingest/train phase of the streaming pipeline: pages are pushed in
-/// as they arrive (parsing overlaps the caller's fetch loop), then
+/// as they arrive and parsed in bounded blocks on the worker pool, then
 /// [`SiteSession::finish_training`] freezes a [`TrainedSite`].
 ///
 /// Output depends only on the pages and their order: it is byte-identical
-/// at every thread count and every [`CeresConfig::ingest_ahead`] cap (see
-/// `tests/session.rs`).
+/// at every thread count (see `tests/session.rs`).
 pub struct SiteSession<'kb> {
     kb: &'kb Kb,
     cfg: CeresConfig,
     mode: AnnotationMode,
     rt: Runtime,
-    stream: StreamMap<'kb, IngestBatch, IngestBatchResult>,
-    /// Pages accepted but not yet submitted — the micro-batch being
-    /// filled. Flushed every `batch_size` pages and at drain.
+    /// Pages accepted but not yet parsed, in push order. Parsed as one
+    /// block once it holds `PENDING_BATCHES_PER_THREAD × threads`
+    /// micro-batches, and at `finish_training`.
     pending: Vec<IngestItem>,
     /// Pages per parse micro-batch (see `SiteSessionBuilder::build`).
     batch_size: usize,
-    /// Pages inside submitted, not-yet-absorbed batches (the stream
-    /// counts items = batches; ingest accounting needs pages).
-    in_flight_pages: usize,
+    /// Parsed training pages, in push order.
     views: Vec<PageView>,
     /// Quarantine ledger of the fault-isolated ingest path (`pages_ok` is
     /// finalized by `finish_training`).
@@ -798,10 +788,8 @@ pub struct SiteSession<'kb> {
     /// Ids ingested so far (both paths record; only `try_push_page`
     /// rejects duplicates).
     seen_ids: std::collections::HashSet<String>,
-    /// Time this session has spent blocked on parsing (inside `push_page`
-    /// and the final drain) — the streaming pipeline's visible parse cost;
-    /// parse work overlapped with the caller's fetch loop is free and
-    /// deliberately not charged here.
+    /// Time this session has spent parsing (the block flushes inside
+    /// `push_page` and the final one in `finish_training`).
     parse_ms: f64,
     /// Pool-job counter at open, so the parse stage can report how many
     /// pool jobs ingest dispatched (ingest fully precedes training).
@@ -814,9 +802,9 @@ impl<'kb> SiteSession<'kb> {
         SiteSessionBuilder { kb, cfg: CeresConfig::default(), mode: AnnotationMode::Full }
     }
 
-    /// Ingest one `(page id, html)` pair. Parsing is handed to the worker
-    /// pool and this call returns as soon as the reorder buffer has room —
-    /// fetch the next page while this one parses.
+    /// Ingest one `(page id, html)` pair. The page is queued; every
+    /// `2 × threads` micro-batches the queue is parsed as one block on the
+    /// worker pool before this call returns.
     ///
     /// This is the **fail-fast** path: no guards, no quarantine, and a
     /// parse panic unwinds out of the session (it signals a bug, not a bad
@@ -834,7 +822,7 @@ impl<'kb> SiteSession<'kb> {
     /// Synchronously checkable refusals (duplicate id, oversized HTML)
     /// are returned here *and* recorded in the ledger; parse-dependent
     /// ones (empty DOM, excessive depth, a contained parse panic) are
-    /// discovered when the page's parse job completes and appear only in
+    /// discovered when the page's block is parsed and appear only in
     /// [`SiteSession::health`]. `Ok(())` therefore means "accepted for
     /// parsing", not "will reach training".
     pub fn try_push_page(
@@ -867,44 +855,33 @@ impl<'kb> SiteSession<'kb> {
         // lint: allow(CL002) reason="profiling channel only: parse_ms feeds the RunStats display and never touches the byte-identical pipeline output"
         let t0 = std::time::Instant::now();
         self.pending.push(item);
-        if self.pending.len() >= self.batch_size {
+        if self.pending.len() >= PENDING_BATCHES_PER_THREAD * self.rt.threads() * self.batch_size {
             self.flush_pending();
         }
         self.parse_ms += t0.elapsed().as_secs_f64() * 1e3;
     }
 
-    /// Submit the micro-batch being filled (no-op when empty). Batches
-    /// enter the stream in push order and the stream preserves item
-    /// order, so absorption order equals page push order — the byte-
-    /// identity contract is untouched by batching.
+    /// Parse every pending page: one `par_map` over its micro-batches,
+    /// absorbed in micro-batch order, so absorption order equals push
+    /// order at every thread count. No-op when nothing is pending.
     fn flush_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.pending);
-        self.in_flight_pages += batch.len();
-        if let Some(results) = self.stream.push(batch) {
-            self.absorb_batch(results);
-        }
-    }
-
-    fn absorb_batch(&mut self, results: IngestBatchResult) {
-        self.in_flight_pages -= results.len();
-        for result in results {
-            self.absorb(result);
-        }
-    }
-
-    fn absorb(&mut self, result: IngestResult) {
-        match result {
-            Ok(view) => self.views.push(view),
-            Err((id, why)) => self.health.note_quarantined(id, why),
+        let (kb, guards) = (self.kb, &self.cfg.guards);
+        let batches: Vec<&[IngestItem]> = self.pending.chunks(self.batch_size).collect();
+        let parsed = self.rt.par_map(&batches, |batch| parse_batch(kb, guards, batch));
+        self.pending.clear();
+        for result in parsed.into_iter().flatten() {
+            match result {
+                Ok(view) => self.views.push(view),
+                Err((id, why)) => self.health.note_quarantined(id, why),
+            }
         }
     }
 
     /// Ingest every page of an iterator (a convenience loop over
-    /// [`SiteSession::push_page`] — the iterator may be lazy, e.g. a
-    /// fetcher or archive reader, and parsing overlaps its `next()`).
+    /// [`SiteSession::push_page`]).
     pub fn ingest(&mut self, pages: impl IntoIterator<Item = (String, String)>) {
         for (id, html) in pages {
             self.push_page(id, html);
@@ -922,16 +899,16 @@ impl<'kb> SiteSession<'kb> {
     }
 
     /// The session's health ledger so far. `pages_ok` stays 0 until
-    /// [`SiteSession::finish_training`] (pages still in flight can yet be
+    /// [`SiteSession::finish_training`] (pages still pending can yet be
     /// quarantined); the quarantine entries are live.
     pub fn health(&self) -> &SessionHealth {
         &self.health
     }
 
-    /// Pages ingested so far (parsed, in a submitted batch, or waiting in
-    /// the batch being filled).
+    /// Pages ingested so far: parsed views plus pages still pending (a
+    /// pending page can yet be quarantined when its block is parsed).
     pub fn pages_ingested(&self) -> usize {
-        self.views.len() + self.in_flight_pages + self.pending.len()
+        self.views.len() + self.pending.len()
     }
 
     /// The session's resolved runtime (thread count etc.).
@@ -947,10 +924,6 @@ impl<'kb> SiteSession<'kb> {
         // lint: allow(CL002) reason="profiling channel only: parse_ms feeds the RunStats display and never touches the byte-identical pipeline output"
         let t0 = std::time::Instant::now();
         self.flush_pending();
-        let drained = self.stream.drain();
-        for results in drained {
-            self.absorb_batch(results);
-        }
         self.parse_ms += t0.elapsed().as_secs_f64() * 1e3;
         let parse = StageTime {
             ms: self.parse_ms,
@@ -1015,17 +988,10 @@ impl<'kb> TrainedSite<'kb> {
 
     /// [`TrainedSite::extract_page`] over a pre-built view.
     pub fn extract_view(&self, view: &PageView) -> Vec<Extraction> {
-        match self.model_for(view) {
-            Some(cm) => extract_page(view, &cm.model, &cm.space, &cm.class_map, &self.extract_cfg),
-            None => Vec::new(),
+        match self.try_extract_view(view) {
+            ExtractOutcome::Ok(extractions) => extractions,
+            _ => Vec::new(),
         }
-    }
-
-    /// The model serving `view`, via the template-assignment path.
-    fn model_for(&self, view: &PageView) -> Option<&ClusterModel> {
-        let ci = self.clustering.assign(view)?;
-        let pi = self.plan_of_cluster[ci]?;
-        self.models[pi].as_ref()
     }
 
     /// Extract from a batch of unseen pages: parse (borrowing the slice —
@@ -1542,6 +1508,28 @@ mod tests {
             ex.iter().any(|e| e.object == "Fresh Face"),
             "detail model must extract the director: {ex:?}"
         );
+    }
+
+    #[test]
+    fn pages_are_counted_while_pending_and_after_each_block_flush() {
+        // 40 pushes cross one or more block flushes at 1 and 2 threads
+        // and none at 8, so both the pending queue and the parsed views
+        // are counted.
+        let (kb, details, reviews) = two_template_world();
+        let htmls: Vec<&String> = details.iter().chain(reviews.iter()).map(|(_, h)| h).collect();
+        for threads in [1, 2, 8] {
+            let mut session = SiteSession::builder(&kb)
+                .config(CeresConfig::new(11).with_threads(threads))
+                .build();
+            let flush_at = PENDING_BATCHES_PER_THREAD * threads * session.batch_size;
+            for k in 0..40 {
+                session.push_page(format!("p-{k}"), htmls[k % htmls.len()].clone());
+                assert_eq!(session.pages_ingested(), k + 1, "threads={threads} push {k}");
+                assert_eq!(session.views.len(), (k + 1) / flush_at * flush_at, "threads={threads}");
+            }
+            let trained = session.finish_training();
+            assert_eq!(trained.health().pages_ok, 40, "threads={threads}");
+        }
     }
 
     #[test]

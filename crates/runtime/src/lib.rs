@@ -33,8 +33,7 @@
 //! The fail-fast contract above is right for pure pipeline stages, where a
 //! panic means a bug and the whole run is suspect. Ingest and serve paths
 //! face the opposite regime: one poisoned page must not take down the
-//! batch. [`Runtime::par_map_isolated`] and
-//! [`Runtime::try_par_map_isolated`] wrap every item invocation in
+//! batch. [`Runtime::par_map_isolated`] wraps every item invocation in
 //! [`std::panic::catch_unwind`], so a panicking item yields a typed
 //! [`JobFault`] *in its slot* while every other item still runs and
 //! returns its result. Outcomes come back in item order (same indexed
@@ -71,12 +70,9 @@
 use std::panic;
 
 mod pool;
-mod stream;
-
-pub use stream::StreamMap;
 
 /// A contained panic from one item of an isolated parallel map
-/// ([`Runtime::par_map_isolated`] / [`Runtime::try_par_map_isolated`]).
+/// ([`Runtime::par_map_isolated`]).
 ///
 /// Carries the index of the item whose closure panicked and the raw panic
 /// payload, exactly as `catch_unwind` delivered it. Because isolated maps
@@ -118,16 +114,6 @@ impl std::fmt::Display for JobFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "item {} panicked: {}", self.index, self.message())
     }
-}
-
-/// Why one item of [`Runtime::try_par_map_isolated`] failed: the closure
-/// returned `Err`, or it panicked and the panic was contained.
-#[derive(Debug)]
-pub enum IsolatedError<E> {
-    /// The closure returned this error.
-    Err(E),
-    /// The closure panicked; the payload was contained as a [`JobFault`].
-    Panic(JobFault),
 }
 
 /// Environment variable consulted when no programmatic thread count is
@@ -178,10 +164,6 @@ impl Runtime {
 
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
     }
 
     /// Map `f` over `items` on up to `threads` workers; results come back
@@ -263,54 +245,6 @@ impl Runtime {
             .map(|(index, r)| r.map_err(|payload| JobFault { index, payload }))
             .collect()
     }
-
-    /// Panic-isolated [`Runtime::try_par_map`]: every item is attempted;
-    /// an item's `Err(e)` comes back as [`IsolatedError::Err`] in its slot
-    /// and a contained panic as [`IsolatedError::Panic`]. Outcomes are in
-    /// item order (deterministic fault ordering, lowest index first when
-    /// scanning); fault-free, `Err`-free input is byte-identical to the
-    /// unwrapped `try_par_map` result at any thread count.
-    pub fn try_par_map_isolated<T, R, E, F>(
-        &self,
-        items: &[T],
-        f: F,
-    ) -> Vec<Result<R, IsolatedError<E>>>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&T) -> Result<R, E> + Sync,
-    {
-        self.par_map_isolated(items, f)
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(Ok(r)) => Ok(r),
-                Ok(Err(e)) => Err(IsolatedError::Err(e)),
-                Err(fault) => Err(IsolatedError::Panic(fault)),
-            })
-            .collect()
-    }
-
-    /// A bounded, order-preserving streaming map (the runtime's *reorder
-    /// buffer*): [`StreamMap::push`] hands items to the pool one at a
-    /// time, at most `cap` are in flight at once, and results come back
-    /// in input order regardless of completion order. `cap = 0` is
-    /// clamped to 1 (a zero-capacity buffer could never accept a push);
-    /// the clamp is observable via [`StreamMap::cap`]. Use it to overlap
-    /// a producer loop (fetch, decompress, read) with per-item work the
-    /// pool runs — see the [`stream`](crate::StreamMap) docs for the
-    /// determinism contract.
-    pub fn stream<'f, T, R>(
-        &self,
-        cap: usize,
-        f: impl Fn(T) -> R + Send + Sync + 'f,
-    ) -> StreamMap<'f, T, R>
-    where
-        T: Send,
-        R: Send,
-    {
-        StreamMap::new(self, cap, f)
-    }
 }
 
 /// Chunk-size autotuning for [`Runtime::par_map`]: aim for several chunks
@@ -339,11 +273,11 @@ pub fn auto_chunk_coarse(n: usize, threads: usize) -> usize {
 }
 
 /// Snapshot of the pool's scheduling counters. Counters are process-wide
-/// and monotonic since process start (or the last [`reset_pool_stats`]).
+/// and monotonic since process start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Jobs pushed onto the pool queue: one per parallel call that reached
-    /// the pool, plus one per streamed [`StreamMap`] item.
+    /// the pool.
     pub jobs_executed: u64,
     /// Pool workers that won a helper slot and joined a job.
     pub helper_joins: u64,
@@ -360,14 +294,6 @@ pub fn pool_stats() -> PoolStats {
         helper_joins: pool::stats::HELPER_JOINS.load(Ordering::Relaxed),
         steal_misses: pool::stats::STEAL_MISSES.load(Ordering::Relaxed),
     }
-}
-
-/// Zero the pool's scheduling counters (e.g. between bench phases).
-pub fn reset_pool_stats() {
-    use std::sync::atomic::Ordering;
-    pool::stats::JOBS_EXECUTED.store(0, Ordering::Relaxed);
-    pool::stats::HELPER_JOINS.store(0, Ordering::Relaxed);
-    pool::stats::STEAL_MISSES.store(0, Ordering::Relaxed);
 }
 
 fn env_threads() -> Option<usize> {
@@ -622,7 +548,6 @@ mod tests {
         // allowed to touch the (process-global) environment.
         assert_eq!(Runtime::new(0).threads(), 1);
         assert_eq!(Runtime::new(6).threads(), 6);
-        assert!(Runtime::sequential().is_sequential());
         assert_eq!(Runtime::with_threads(Some(3)).threads(), 3);
     }
 
@@ -705,34 +630,6 @@ mod tests {
         }
         let expect: Vec<usize> = items.iter().map(|&x| x + 1).collect();
         assert_eq!(rt.par_map(&items, |&x| x + 1), expect);
-    }
-
-    #[test]
-    fn try_isolated_map_separates_errors_from_panics() {
-        let items: Vec<usize> = (0..40).collect();
-        for threads in [1, 2, 8] {
-            let out: Vec<Result<usize, IsolatedError<String>>> = Runtime::new(threads)
-                .try_par_map_isolated(&items, |&x| {
-                    if x % 10 == 3 {
-                        Err(format!("reject {x}"))
-                    } else if x % 10 == 7 {
-                        panic!("explode {x}");
-                    } else {
-                        Ok(x + 100)
-                    }
-                });
-            for (i, slot) in out.iter().enumerate() {
-                match (i % 10, slot) {
-                    (3, Err(IsolatedError::Err(e))) => assert_eq!(e, &format!("reject {i}")),
-                    (7, Err(IsolatedError::Panic(fault))) => {
-                        assert_eq!(fault.index, i);
-                        assert_eq!(fault.message(), format!("explode {i}"));
-                    }
-                    (_, Ok(v)) => assert_eq!(*v, i + 100),
-                    other => panic!("unexpected slot {i}: {other:?} (threads={threads})"),
-                }
-            }
-        }
     }
 
     #[test]

@@ -53,8 +53,8 @@ const MAX_POOL_WORKERS: usize = 128;
 pub(crate) mod stats {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Jobs pushed onto the pool queue (one per parallel call or per
-    /// streamed item), whether or not a helper ever joined them.
+    /// Jobs pushed onto the pool queue (one per parallel call), whether
+    /// or not a helper ever joined them.
     pub(crate) static JOBS_EXECUTED: AtomicU64 = AtomicU64::new(0);
     /// Pool workers that won a helper slot and participated in a job.
     pub(crate) static HELPER_JOINS: AtomicU64 = AtomicU64::new(0);
@@ -94,9 +94,7 @@ struct JobCtx<T, R, F> {
 
 /// Heap-shared job header. Everything a participant touches *before*
 /// winning a claim lives here; `ctx` is only dereferenced after one.
-/// Shared with the [`crate::stream`] module, whose per-item jobs are
-/// one-chunk instances of the same claim protocol.
-pub(crate) struct Job {
+struct Job {
     /// Next chunk index to claim (monotonic; `>= n_chunks` = exhausted).
     next: AtomicUsize,
     n_chunks: usize,
@@ -178,7 +176,7 @@ impl Job {
     /// catches unwinds inside the item closure, *below* this one, so a
     /// contained fault never reaches `record_panic` and the job runs to
     /// completion with per-item [`crate::JobFault`]s instead.
-    pub(crate) fn record_panic(&self, item: usize, payload: Box<dyn Any + Send>) {
+    fn record_panic(&self, item: usize, payload: Box<dyn Any + Send>) {
         self.next.fetch_max(self.n_chunks, Ordering::SeqCst);
         let mut slot = lock(&self.panic_slot);
         match &*slot {
@@ -267,50 +265,6 @@ where
     }
     // lint: allow(CL003) reason="chunks partition 0..n and wait_idle returned with no recorded panic, so every slot was written exactly once; an empty slot here is a broken claim protocol, not a recoverable state"
     slots.into_iter().map(|r| r.expect("every index was claimed exactly once")).collect()
-}
-
-/// Submit a one-chunk job (a single streamed item) to the pool and return
-/// its header.
-///
-/// # Safety
-/// The caller must eventually call [`finish_stream_job`] on the returned
-/// header — and keep `ctx` alive (upholding `run_chunk`'s own contract)
-/// until it does — or the pool's workers could dereference a dangling
-/// context.
-pub(crate) unsafe fn submit_stream_job(
-    threads: usize,
-    run_chunk: unsafe fn(*const (), &Job, usize),
-    ctx: *const (),
-) -> Arc<Job> {
-    let job = Arc::new(Job {
-        next: AtomicUsize::new(0),
-        n_chunks: 1,
-        helpers: AtomicUsize::new(0),
-        // One chunk, so at most one helper is ever useful.
-        helper_limit: 1,
-        panic_slot: Mutex::new(None),
-        active: Mutex::new(0),
-        idle_cv: Condvar::new(),
-        run_chunk,
-        ctx,
-    });
-    let pool = Pool::global();
-    pool.ensure_workers(threads.saturating_sub(1));
-    stats::JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
-    pool.submit(Arc::clone(&job));
-    job
-}
-
-/// Complete a job from [`submit_stream_job`]: the caller participates
-/// (running the item inline if no worker claimed it yet), the job is
-/// retired from the queue, and the call returns once every participant has
-/// left — after which the job's context may be freed. Returns the recorded
-/// panic payload, if the item's closure panicked.
-pub(crate) fn finish_stream_job(job: &Arc<Job>) -> Option<Box<dyn Any + Send>> {
-    job.participate();
-    Pool::global().retire(job);
-    job.wait_idle();
-    lock(&job.panic_slot).take().map(|(_, payload)| payload)
 }
 
 /// The process-wide pool: a queue of in-flight jobs plus parked workers.
@@ -416,7 +370,7 @@ mod tests {
     /// races it), but indistinguishable from the counter being dead code.
     /// A scheduler-driven provocation is hopeless to pin down on an
     /// arbitrary CI box (on a 1-core machine the losing window is a few
-    /// instructions wide; 10k contended stream pushes never hit it), so
+    /// instructions wide), so
     /// these tests drive the worker's exact sequence —
     /// `wants_help` → `try_help` → `note_help_attempt` (the
     /// [`Pool::worker_loop`] body) — through both losing interleavings

@@ -62,8 +62,8 @@ fn main() {
         })
         .collect();
 
-    // --- 3. Ingest: stream pages into a session (parsing overlaps the
-    //        producer loop via the runtime's bounded reorder buffer) ---
+    // --- 3. Ingest: push pages into a session (parsed in bounded,
+    //        ordered blocks on the runtime's worker pool) ---
     let mut session = SiteSession::builder(&kb).config(CeresConfig::new(42)).build();
     session.ingest(pages);
 

@@ -1,9 +1,8 @@
 //! The determinism contract, live: stream the same site through a
 //! `SiteSession` at 1, 2, and N threads, verify the three `SiteRun`s are
 //! identical, and print the wall times. `CERES_THREADS` (or
-//! `CeresConfig::threads`) picks the fan-out — including how many pages
-//! the ingest reorder buffer parses concurrently — and the output never
-//! depends on it.
+//! `CeresConfig::threads`) picks the fan-out — including how many ingest
+//! micro-batches parse concurrently — and the output never depends on it.
 //!
 //! ```text
 //! cargo run --release --example thread_scaling [scale]
@@ -24,8 +23,8 @@ fn main() {
     for threads in [1, 2, available.max(2)] {
         let cfg = CeresConfig::new(42).with_threads(threads);
         let t0 = Instant::now();
-        // Ingest: one push per page, parsing overlapped by the reorder
-        // buffer; train once; serve the site's own pages.
+        // Ingest: one push per page, parsed in ordered pool blocks; train
+        // once; serve the site's own pages.
         let mut session = SiteSession::builder(&v.kb).config(cfg).build();
         for p in &site.pages {
             session.push_page(p.id.clone(), p.html.clone());

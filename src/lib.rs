@@ -99,7 +99,7 @@
 //! #      <span>d</span><span>e</span><span>f</span></div></body></html>");
 //! let mut session = SiteSession::builder(&kb).config(CeresConfig::new(42)).build();
 //! for i in 0..12 {
-//!     session.push_page(format!("page-{i}"), html_of(i)); // parse overlaps ingest
+//!     session.push_page(format!("page-{i}"), html_of(i)); // parsed in pool blocks
 //! }
 //! let trained = session.finish_training(); // freeze models + template signatures
 //! assert!(trained.stats().trained);
@@ -130,7 +130,7 @@ pub mod prelude {
     pub use ceres_dom::{parse_html, Document, XPath};
     pub use ceres_kb::{Kb, KbBuilder, Ontology, PredId, ValueId};
     pub use ceres_ml::{LogReg, TrainConfig};
-    pub use ceres_runtime::{Runtime, StreamMap};
+    pub use ceres_runtime::Runtime;
     pub use ceres_synth::{GoldFact, Page, PageGold, Site};
 }
 
