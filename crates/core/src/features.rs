@@ -26,9 +26,21 @@
 //! * a plain `Vec<String>` collector ([`FeatureSpace::collect_names`]),
 //!   kept as the reference path the equivalence suite pins the sinks to.
 //!
-//! Together with the reusable index buffer in [`FeatureScratch`], per-node
-//! vectorization performs no transient allocations: the only allocation is
-//! the exact-size output `SparseVec`.
+//! Node-text paths are read off the nearby field's stored absolute XPath
+//! rather than walked in the DOM, so with a warm [`FeatureScratch`] name
+//! emission performs no transient allocations; the interning sink
+//! allocates only to store a name it has not seen.
+//!
+//! ## One pass per page when serving
+//!
+//! A structural *segment* — a chain node's tag/attribute features, its
+//! sibling number and (above the leaf) its sibling window — depends only
+//! on the (chain node, level) pair, and a page's fields share most of
+//! their ancestor chains. [`FeatureSpace::frozen_page`] returns a
+//! [`FrozenPage`] that emits each segment once per page, keeps its frozen
+//! ids, and reuses them for every later field. Once its memo holds a
+//! row's segments, [`FrozenPage::row`] allocates only the exact-size
+//! output `SparseVec` (pinned by `tests/frozen_row_alloc.rs`).
 //!
 //! Ground-truth hygiene: all `data-*` attributes — in particular the
 //! generator's `data-gt` — are excluded from features (unit-tested below).
@@ -39,6 +51,7 @@ use ceres_dom::NodeId;
 use ceres_ml::{FeatureDict, SparseVec};
 use ceres_store::{Decode, Encode, Error as StoreError, Reader, Writer};
 use ceres_text::{FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
 
 /// Attributes used for structural features (paper list).
@@ -53,7 +66,7 @@ pub trait FeatureSink {
 
 /// Reusable assembly state for streaming feature names: the name buffer
 /// (with an optional role prefix for pair features) plus the node-chain
-/// and sibling-window scratch vectors the structural emitter needs.
+/// and sibling-window scratch vectors the emitters need.
 #[derive(Debug, Default)]
 pub struct NameBuf {
     s: String,
@@ -236,10 +249,10 @@ impl FeatureSpace {
     }
 
     /// Freeze the dictionary: extraction-time features not seen in training
-    /// are dropped. After freezing, the lookup-only
-    /// [`FeatureSpace::features_frozen_with`] /
-    /// [`FeatureSpace::pair_features_frozen_with`] twins work through `&self`, so the parallel extract stage shares one
-    /// space across threads without cloning.
+    /// are dropped. After freezing, [`FeatureSpace::frozen_page`] and
+    /// [`FeatureSpace::pair_features_frozen_with`] look names up through
+    /// `&self`, so the parallel extract stage shares one space across
+    /// threads without cloning.
     pub fn freeze(&mut self) {
         self.dict.freeze();
     }
@@ -249,8 +262,9 @@ impl FeatureSpace {
     }
 
     /// Stream the feature names of `node` into `sink` (no dictionary
-    /// involved — `&self`). This is the single emitter every vectorization
-    /// path shares; name bytes and order are identical for all sinks.
+    /// involved — `&self`). Every vectorization path, [`FrozenPage::row`]
+    /// included, runs the same segment and node-text emitters in this
+    /// order, so name bytes and order are identical for all sinks.
     pub fn emit_names(
         &self,
         page: &PageView,
@@ -293,22 +307,13 @@ impl FeatureSpace {
         SparseVec::from_indices_buf(idx)
     }
 
-    /// Lookup-only twin of [`FeatureSpace::features_with`] for a frozen
-    /// space. On a frozen dictionary `intern` and `get` coincide, so the
-    /// returned vector is identical to what `features_with` would produce.
-    /// The per-(cluster, page) extract tasks keep one scratch alive across
-    /// every field they classify.
-    pub fn features_frozen_with(
-        &self,
-        page: &PageView,
-        node: NodeId,
-        scratch: &mut FeatureScratch,
-    ) -> SparseVec {
+    /// The frozen featurizer of one page: [`FrozenPage::row`] returns the
+    /// same vector `features_with` would on a frozen space, emitting each
+    /// structural segment once per page instead of once per field. The
+    /// memo borrows `page`, so it cannot outlive it or serve another page.
+    pub fn frozen_page<'a>(&'a self, page: &'a PageView) -> FrozenPage<'a> {
         debug_assert!(self.dict.is_frozen(), "freeze the feature space before extraction");
-        let FeatureScratch { buf, idx } = scratch;
-        let mut sink = FrozenSink { dict: &self.dict, idx };
-        emit_names(&self.frequent_set, &self.cfg, page, node, buf, &mut sink);
-        SparseVec::from_indices_buf(idx)
+        FrozenPage { space: self, page, ids: Vec::new(), segments: FxHashMap::default() }
     }
 
     /// Feature vector for a *pair* of nodes: each node's features prefixed
@@ -374,6 +379,54 @@ impl FeatureSpace {
     }
 }
 
+/// One page's frozen featurizer (see [`FeatureSpace::frozen_page`]): the
+/// frozen ids of every structural segment emitted so far, end to end, and
+/// a `(chain node, level) → range` map into them.
+#[derive(Debug)]
+pub struct FrozenPage<'a> {
+    space: &'a FeatureSpace,
+    page: &'a PageView,
+    ids: Vec<u32>,
+    segments: FxHashMap<(NodeId, usize), (u32, u32)>,
+}
+
+impl FrozenPage<'_> {
+    /// The frozen feature vector of `node` — identical to what
+    /// [`FeatureSpace::features_with`] returns on the frozen space.
+    /// Structural segments already emitted for an earlier field are copied
+    /// from the memo; node-text features are emitted per call.
+    pub fn row(&mut self, node: NodeId, scratch: &mut FeatureScratch) -> SparseVec {
+        let FrozenPage { space, page, ids, segments } = self;
+        let (space, page) = (*space, *page);
+        let FeatureScratch { buf, idx } = scratch;
+        let cfg = &space.cfg;
+        if cfg.enable_structural {
+            let mut chain = std::mem::take(&mut buf.chain);
+            fill_chain(page, node, cfg.max_ancestor_levels, &mut chain);
+            for (level, &n) in chain.iter().enumerate() {
+                let (lo, hi) = match segments.entry((n, level)) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        let lo = ids.len() as u32;
+                        let mut sink = FrozenSink { dict: &space.dict, idx: ids };
+                        structural_segment(cfg, page, n, level, buf, &mut sink);
+                        *e.insert((lo, ids.len() as u32))
+                    }
+                };
+                if let Some(seg) = ids.get(lo as usize..hi as usize) {
+                    idx.extend_from_slice(seg);
+                }
+            }
+            buf.chain = chain;
+        }
+        if cfg.enable_text {
+            let mut sink = FrozenSink { dict: &space.dict, idx };
+            text_features(&space.frequent_set, cfg, page, node, buf, &mut sink);
+        }
+        SparseVec::from_indices_buf(idx)
+    }
+}
+
 /// Serializable parts: the dictionary, the frequent-string lexicon, and
 /// the config. `frequent_set` is derived state, rebuilt on decode.
 impl Encode for FeatureSpace {
@@ -394,8 +447,9 @@ impl Decode for FeatureSpace {
     }
 }
 
-/// The one true emitter: structural then text features, every name
-/// assembled in `buf` and streamed to `sink`.
+/// The emitter: structural then text features, every name assembled in
+/// `buf` and streamed to `sink`. [`FrozenPage::row`] composes the same
+/// two parts around its segment memo.
 fn emit_names(
     frequent_set: &FxHashSet<String>,
     cfg: &FeatureConfig,
@@ -412,6 +466,14 @@ fn emit_names(
     }
 }
 
+/// The node itself (level 0) and its first `levels` ancestors, into
+/// `chain` (index = level).
+fn fill_chain(page: &PageView, node: NodeId, levels: usize, chain: &mut Vec<NodeId>) {
+    chain.clear();
+    chain.push(node);
+    chain.extend(page.doc.ancestors(node).take(levels));
+}
+
 fn structural_features(
     cfg: &FeatureConfig,
     page: &PageView,
@@ -419,39 +481,54 @@ fn structural_features(
     buf: &mut NameBuf,
     sink: &mut dyn FeatureSink,
 ) {
-    let doc = &page.doc;
-    // Chain: the node itself (level 0) and its ancestors. The chain and
-    // sibling-window vectors are borrowed out of the scratch for the loop
-    // (they cannot be used while `buf` assembles names).
+    // The chain vector is borrowed out of the scratch for the loop (it
+    // cannot be used while `buf` assembles names).
     let mut chain = std::mem::take(&mut buf.chain);
-    let mut sibs = std::mem::take(&mut buf.sibs);
-    chain.clear();
-    chain.push(node);
-    chain.extend(doc.ancestors(node).take(cfg.max_ancestor_levels));
+    fill_chain(page, node, cfg.max_ancestor_levels, &mut chain);
     for (level, &n) in chain.iter().enumerate() {
-        if !doc.node(n).is_element() || n == doc.root() {
-            continue;
-        }
-        emit_node_features(page, n, level, 0, buf, sink);
-        // Sibling number of the chain node itself (4th tuple slot).
-        let sib = doc.element_sibling_number(n).min(9);
-        let b = buf.begin();
-        let _ = write!(b, "s:sib={sib}@l{level}");
-        sink.accept(buf.as_str());
-        // Siblings of ancestors (not of the leaf node itself — the
-        // paper examines "ancestors of the node, and siblings of those
-        // ancestors").
-        if level >= 1 {
-            doc.sibling_window_into(n, cfg.sibling_width, &mut sibs);
-            for &(off, sib_node) in &sibs {
-                emit_node_features(page, sib_node, level, off, buf, sink);
-            }
-        }
+        structural_segment(cfg, page, n, level, buf, sink);
     }
     buf.chain = chain;
-    buf.sibs = sibs;
 }
 
+/// The structural features one chain node contributes at `level`: its own
+/// tag and attributes, its sibling number and, for ancestors, its sibling
+/// window. A pure function of `(n, level)` on a page, which is what lets
+/// [`FrozenPage`] emit it once per page.
+fn structural_segment(
+    cfg: &FeatureConfig,
+    page: &PageView,
+    n: NodeId,
+    level: usize,
+    buf: &mut NameBuf,
+    sink: &mut dyn FeatureSink,
+) {
+    let doc = &page.doc;
+    if !doc.node(n).is_element() || n == doc.root() {
+        return;
+    }
+    emit_node_features(page, n, level, 0, buf, sink);
+    // Sibling number of the chain node itself (4th tuple slot).
+    let sib = doc.element_sibling_number(n).min(9);
+    let b = buf.begin();
+    let _ = write!(b, "s:sib={sib}@l{level}");
+    sink.accept(buf.as_str());
+    // Siblings of ancestors (not of the leaf node itself — the paper
+    // examines "ancestors of the node, and siblings of those ancestors").
+    if level >= 1 {
+        let mut sibs = std::mem::take(&mut buf.sibs);
+        doc.sibling_window_into(n, cfg.sibling_width, &mut sibs);
+        for &(off, sib_node) in &sibs {
+            emit_node_features(page, sib_node, level, off, buf, sink);
+        }
+        buf.sibs = sibs;
+    }
+}
+
+/// Node-text features: `t:{string}@^{up}/tag[i]…` for every frequent
+/// string among the fields near `node`. The tree path climbs `up` levels
+/// to the lowest common ancestor, then descends the field's own absolute
+/// XPath steps below it — no DOM walk per feature.
 fn text_features(
     frequent_set: &FxHashSet<String>,
     cfg: &FeatureConfig,
@@ -463,9 +540,12 @@ fn text_features(
     if frequent_set.is_empty() {
         return;
     }
-    let doc = &page.doc;
-    // The ancestor subtree scanned for nearby frequent strings.
-    let scope = doc.ancestors(node).take(cfg.text_feature_levels).last().unwrap_or(node);
+    // `chain[k]` is the k-th ancestor-or-self; its last entry is the
+    // scope whose subtree is scanned for nearby frequent strings.
+    let mut chain = std::mem::take(&mut buf.chain);
+    fill_chain(page, node, cfg.text_feature_levels, &mut chain);
+    let scope = chain.last().copied().unwrap_or(node);
+    let depth = page.doc.depth(node);
     let mut scanned = 0usize;
     for f in &page.fields {
         if f.node == node {
@@ -479,13 +559,25 @@ fn text_features(
             break;
         }
         scanned += 1;
-        if frequent_set.contains(&f.norm) {
-            let b = buf.begin();
-            let _ = write!(b, "t:{}@", &f.norm[..f.norm.len().min(30)]);
-            doc.relative_path_into(node, f.node, b);
-            sink.accept(buf.as_str());
+        if !frequent_set.contains(&f.norm) {
+            continue;
         }
+        // The lowest common ancestor is the first chain node whose subtree
+        // holds the field; it sits at depth `depth - up`, so the field's
+        // XPath steps from there on lead down to it.
+        let Some(up) = chain.iter().position(|&a| page.in_subtree(a, f.node)) else { continue };
+        let Some(steps) = depth.checked_sub(up).and_then(|d| f.xpath.0.get(d..)) else {
+            continue;
+        };
+        let label = &f.norm[..f.norm.floor_char_boundary(30)];
+        let b = buf.begin();
+        let _ = write!(b, "t:{label}@^{up}");
+        for step in steps {
+            let _ = write!(b, "/{}[{}]", step.tag, step.index);
+        }
+        sink.accept(buf.as_str());
     }
+    buf.chain = chain;
 }
 
 fn emit_node_features(
@@ -613,12 +705,15 @@ mod tests {
         let mut scratch = FeatureScratch::new();
         let trained = space.features_with(&pv, pv.fields[1].node, &mut scratch);
         space.freeze();
-        // Same page: identical vectors through &self and &mut self.
-        assert_eq!(space.features_frozen_with(&pv, pv.fields[1].node, &mut scratch), trained);
+        // Same page: identical vectors through &self and &mut self, and
+        // again once the page memo is warm.
+        let mut frozen = space.frozen_page(&pv);
+        assert_eq!(frozen.row(pv.fields[1].node, &mut scratch), trained);
+        assert_eq!(frozen.row(pv.fields[1].node, &mut scratch), trained);
         assert_eq!(space.features_with(&pv, pv.fields[1].node, &mut scratch), trained);
         // Unseen page: unknown names dropped identically by both paths.
         let pv2 = page(r#"<div class="fresh"><span class="l">Director:</span></div>"#);
-        let a = space.features_frozen_with(&pv2, pv2.fields[0].node, &mut scratch);
+        let a = space.frozen_page(&pv2).row(pv2.fields[0].node, &mut scratch);
         let b = space.features_with(&pv2, pv2.fields[0].node, &mut scratch);
         assert_eq!(a, b);
         let (s, o) = (pv.fields[0].node, pv.fields[1].node);
@@ -648,8 +743,9 @@ mod tests {
         // The dictionaries grew identically → frozen lookups agree too.
         by_sink.freeze();
         by_ref.freeze();
+        let mut frozen = by_sink.frozen_page(&pv);
         for f in &pv.fields {
-            let a = by_sink.features_frozen_with(&pv, f.node, &mut scratch);
+            let a = frozen.row(f.node, &mut scratch);
             let names = by_ref.collect_names(&pv, f.node);
             let idx: Vec<u32> = names.iter().filter_map(|n| by_ref.dict.get(n)).collect();
             assert_eq!(a, SparseVec::from_indices(idx));

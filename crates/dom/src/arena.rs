@@ -369,43 +369,6 @@ impl Document {
         best
     }
 
-    /// Relative tree path from `from` to `to`, formatted as
-    /// `^k/tag[i]/tag[j]` (go up `k` levels from `from`, then down the given
-    /// steps). Used in node-text features: the classifier learns e.g. "the
-    /// string *Director:* appears at `^2/span[1]` from this node".
-    pub fn relative_path(&self, from: NodeId, to: NodeId) -> String {
-        let mut out = String::new();
-        self.relative_path_into(from, to, &mut out);
-        out
-    }
-
-    /// [`Document::relative_path`] **appending** to `out` (not clearing it),
-    /// so feature names can be assembled around the path in one buffer.
-    pub fn relative_path_into(&self, from: NodeId, to: NodeId, out: &mut String) {
-        // Collect ancestor chains (self included) up to the root.
-        let chain = |mut n: NodeId| -> Vec<NodeId> {
-            let mut v = vec![n];
-            while let Some(p) = self.node(n).parent {
-                v.push(p);
-                n = p;
-            }
-            v
-        };
-        let from_chain = chain(from);
-        let to_chain = chain(to);
-        let from_set: FxHashSet<NodeId> = from_chain.iter().copied().collect();
-        // Lowest common ancestor = first node of to_chain present in from_chain.
-        let lca = *to_chain.iter().find(|n| from_set.contains(n)).unwrap_or(&self.root);
-        let up = from_chain.iter().position(|&n| n == lca).unwrap_or(0);
-        let _ = write!(out, "^{up}");
-        // Steps from the LCA down to `to`.
-        let lca_pos = to_chain.iter().position(|&n| n == lca).unwrap_or(0);
-        for &n in to_chain[..lca_pos].iter().rev() {
-            let tag = self.node(n).tag().unwrap_or("#text");
-            let _ = write!(out, "/{}[{}]", tag, self.xpath_index(n));
-        }
-    }
-
     /// Serialize back to HTML (used in tests for parse/serialize roundtrips
     /// and by examples to show pages).
     pub fn to_html(&self) -> String {

@@ -387,17 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_path_format() {
-        let doc = parse_html("<div><span>label</span><ul><li>value</li></ul></div>");
-        let fields = doc.text_fields();
-        let (label, value) = (fields[0], fields[1]);
-        // From the li up to div (2 levels), down into span.
-        assert_eq!(doc.relative_path(value, label), "^2/span[1]");
-        assert_eq!(doc.relative_path(label, value), "^1/ul[1]/li[1]");
-        assert_eq!(doc.relative_path(value, value), "^0");
-    }
-
-    #[test]
     fn deep_text_collects_descendants() {
         let doc = parse_html("<div>a<span>b<i>c</i></span>d</div>");
         let root_div = doc.text_fields()[0];

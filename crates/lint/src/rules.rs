@@ -31,13 +31,14 @@ pub const RULE_CODES: &[&str] =
 /// quarantined page or a dead session. CL003 denies the panic family here.
 const SERVE_PATH_SUFFIXES: &[&str] = &[
     "crates/core/src/extract.rs",
+    "crates/core/src/features.rs",
     "crates/core/src/page.rs",
     "crates/core/src/session.rs",
+    "crates/dom/src/arena.rs",
     "crates/ml/src/logreg.rs",
     "crates/ml/src/sparse.rs",
     "crates/store/src/lib.rs",
     "crates/runtime/src/pool.rs",
-    "crates/runtime/src/stream.rs",
 ];
 
 /// Modules that must be *total* over hostile bytes (artifact decode):

@@ -109,8 +109,9 @@ fn sink_vectors_equal_reference_path_on_movie_vertical() {
     by_sink.freeze();
     by_ref.freeze();
     for pv in &views {
+        let mut frozen = by_sink.frozen_page(pv);
         for f in &pv.fields {
-            let a = by_sink.features_frozen_with(pv, f.node, &mut scratch);
+            let a = frozen.row(f.node, &mut scratch);
             let names = by_ref.collect_names(pv, f.node);
             let idx: Vec<u32> = names.iter().filter_map(|n| by_ref.dict.get(n)).collect();
             assert_eq!(a, SparseVec::from_indices(idx), "frozen path: {} {:?}", pv.page_id, f.node);
