@@ -7,15 +7,21 @@
 //!   extracting from the second;
 //! * `hostile_serve` — a session trained on one movie site serves its
 //!   held-out half followed by the whole hostile corpus through
-//!   `try_extract_batch`, outcome by outcome.
+//!   `try_extract_batch`, outcome by outcome;
+//! * `commoncrawl_run_site` — [`run_site`] under the whole-site protocol
+//!   on a handful of long-tail Common Crawl sites whose models train at
+//!   class counts other than the movie vertical's 10 (plus one site too
+//!   sparse to train), digesting each site's extractions and its encoded
+//!   `SiteRunStats`.
 //!
-//! A change that is meant to keep output byte-identical leaves both values
+//! A change that is meant to keep output byte-identical leaves every value
 //! alone. A change that means to alter output updates the file in the same
 //! commit and says why.
 
 use ceres::core::{ExtractOutcome, SiteSession};
 use ceres::prelude::*;
-use ceres::store::Fnv64;
+use ceres::store::{Encode, Fnv64, Writer};
+use ceres::synth::commoncrawl;
 use ceres::synth::hostile::hostile_corpus;
 use ceres::synth::swde::{movie_vertical, SwdeConfig};
 
@@ -119,4 +125,48 @@ fn hostile_serve_digest_is_golden() {
         outcome(&mut h, o);
     }
     check("hostile_serve", h.finish());
+}
+
+/// The Common Crawl sites the digest runs on, by name: one at the movie
+/// vertical's 10 classes, several wider or narrower, and one whose pages
+/// are all charts, so nothing trains.
+const CC_SITES: [&str; 6] = [
+    "moviecrow.com",
+    "samdb.co.za",
+    "soundtrackcollector.com",
+    "filmindonesia.or.id",
+    "bcdb.com",
+    "boxofficemojo.com",
+];
+
+#[test]
+fn commoncrawl_run_site_digest_is_golden() {
+    let data = commoncrawl::generate(5, 0.002);
+    let cfg = CeresConfig::new(5);
+    let mut h = Fnv64::new();
+    let mut n_facts = 0;
+    let mut widths = std::collections::BTreeSet::new();
+    let mut untrained = 0;
+    for (i, name) in CC_SITES.iter().enumerate() {
+        let site = data.sites.iter().find(|s| s.name == *name).expect("Common Crawl site");
+        let run = run_site(&data.kb, &pages_of(site), None, &cfg, AnnotationMode::Full);
+        section(&mut h, "site", i);
+        extractions(&mut h, &run.extractions);
+        let mut stats = Writer::new();
+        run.stats.encode(&mut stats);
+        h.write(&stats.into_bytes());
+        n_facts += run.extractions.len();
+        if run.stats.trained {
+            widths.insert(run.stats.n_classes);
+        } else {
+            untrained += 1;
+        }
+    }
+    assert!(n_facts > 100, "a digest of near-empty output pins nothing: {n_facts} facts");
+    assert!(
+        widths.iter().filter(|&&k| k != 10).count() >= 2,
+        "the fixture must train at two or more class counts besides 10: {widths:?}"
+    );
+    assert_eq!(untrained, 1, "exactly one site is meant to stay untrained");
+    check("commoncrawl_run_site", h.finish());
 }
