@@ -22,13 +22,17 @@
 //!
 //! The training set is a [`Dataset`] in CSR layout (one contiguous
 //! `indices`/`values`/`row_offsets` triple), so the objective streams
-//! linear memory instead of chasing one heap allocation per example.
+//! linear memory instead of chasing one heap allocation per example, and
+//! the objective's row kernel runs at the site's class count as a
+//! compile-time width, keeping each row's scores and gradient
+//! coefficients in registers (`loss_grad_span`).
 
 use crate::lbfgs::{lbfgs_minimize, LbfgsConfig, LbfgsOutcome};
 use crate::sgd::{sgd_minimize, SgdConfig};
 use crate::sparse::SparseVec;
 use ceres_runtime::{auto_chunk_coarse, Runtime};
 use ceres_store::{Decode, Encode, Error as StoreError, Reader, Writer};
+use std::ops::Range;
 
 /// A labeled training set in CSR (compressed sparse row) layout.
 ///
@@ -629,59 +633,158 @@ pub fn softmax_in_place(scores: &mut [f64]) {
     }
 }
 
-/// Multiplicity-weighted unregularized negative log-likelihood over rows
-/// `lo..hi`, in the **feature-major (transposed) layout**: weights come in
-/// as `wt[i*k + ki]` + split-out intercepts, and the gradient is
-/// accumulated into `acc` — `d*k` transposed feature slots followed by `k`
-/// intercept slots. One pass per row touches a contiguous `k`-wide block
-/// per stored feature, replacing the old `k` strided gather-dots plus `k`
-/// scatter passes.
+/// Multiplicity-weighted unregularized negative log-likelihood over `rows`,
+/// in the **feature-major (transposed) layout**: weights come in as
+/// `wt[i*k + ki]` + split-out intercepts, and the gradient is accumulated
+/// into `acc` — `d*k` transposed feature slots followed by `k` intercept
+/// slots. One pass per row touches a contiguous `k`-wide block per stored
+/// feature, replacing the old `k` strided gather-dots plus `k` scatter
+/// passes.
 ///
-/// Bit-identical to the class-major kernel by construction: every
-/// accumulator (per-class score, each gradient slot) starts at 0.0 and
-/// receives exactly the same contributions in the same order — increasing
-/// index within a row, row order across rows, intercept added after the
-/// feature sum, softmax coefficients computed from the same score values.
-/// Row `r` contributes `counts[r]` times its loss and gradient; with all
-/// counts 1 every operation is bit-identical to the unfolded per-example
-/// objective (`1.0 × x` and `x` are the same IEEE value). Pinned against
-/// the per-example `SparseVec` reference, to the bit, by
-/// `prop_csr_loss_grad_matches_sparse_vec_reference`.
-#[allow(clippy::too_many_arguments)]
+/// The kernel is monomorphized over the class count: every `k` in 2..=24
+/// (the literal list of the dispatch below) runs [`span_kernel`] with `k`
+/// a compile-time constant, so a row's `k` scores and `k` gradient
+/// coefficients live in `[f64; K]` stack arrays (registers, at the 6–18
+/// classes CERES sites train at) and every per-class loop has a fixed trip
+/// count the compiler unrolls and vectorizes. With a runtime `k` those
+/// values went through `Vec` scratch in memory once per stored feature,
+/// and that traffic was most of the training objective's time. Exact-width
+/// arrays matter: a constant `k` over slices, or one zero-padded 16-lane
+/// kernel for every width, recovered less of it. Wider class sets take
+/// [`span_kernel_wide`], the same loops over a runtime width; there is no
+/// switch between the two.
+///
+/// Bit-identical to the class-major kernel by construction, at every width
+/// and in both kernels: every accumulator (per-class score, each gradient
+/// slot) starts at 0.0 and receives exactly the same contributions in the
+/// same order — increasing index within a row, row order across rows,
+/// intercept added after the feature sum, the same log-sum-exp and `exp`s
+/// computing the softmax coefficients from the same score values. Row `r`
+/// contributes `counts[r]` times its loss and gradient; with all counts 1
+/// every operation is bit-identical to the unfolded per-example objective
+/// (`1.0 × x` and `x` are the same IEEE value). Pinned against the
+/// per-example `SparseVec` reference, to the bit, by
+/// `prop_csr_loss_grad_matches_sparse_vec_reference`, and the two kernels
+/// against each other at every dispatched width by
+/// `const_width_kernel_is_bit_identical_to_the_runtime_width_kernel`.
 fn loss_grad_span(
     data: &Dataset,
     counts: &[u32],
-    lo: usize,
-    hi: usize,
+    rows: Range<usize>,
     wt: &[f64],
     intercepts: &[f64],
     acc: &mut [f64],
-    scores: &mut Vec<f64>,
-    coeffs: &mut Vec<f64>,
 ) -> f64 {
-    // Pure indicator datasets take the multiply-free monomorphization:
-    // `1.0 × w == w` and `coeff × 1.0 == coeff` are IEEE identities, so
-    // skipping the multiplies cannot change a bit.
+    // One monomorphization per (width, indicator-only) pair. Pure indicator
+    // datasets take the multiply-free kernel: `1.0 × w == w` and
+    // `coeff × 1.0 == coeff` are IEEE identities, so skipping the
+    // multiplies cannot change a bit.
+    macro_rules! by_width {
+        ($($k:literal)+) => {
+            match (data.n_classes, data.all_unit) {
+                $(
+                    ($k, true) => span_kernel::<true, $k>(data, counts, rows.clone(), wt, intercepts, acc),
+                    ($k, false) => span_kernel::<false, $k>(data, counts, rows.clone(), wt, intercepts, acc),
+                )+
+                _ => None,
+            }
+        };
+    }
+    by_width!(2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24)
+        .unwrap_or_else(|| span_kernel_wide(data, counts, rows, wt, intercepts, acc))
+}
+
+/// [`loss_grad_span`] at the compile-time width `K`. Returns `None`, having
+/// touched nothing, when the buffers do not have the `K`-wide shape the
+/// dataset implies (never, for buffers sized by [`accumulate_on`]), so the
+/// caller can fall back to [`span_kernel_wide`] instead of panicking.
+// `r` indexes three parallel arrays (rows, labels, counts), so a range
+// loop reads better than enumerating any single one of them.
+#[allow(clippy::needless_range_loop)]
+fn span_kernel<const UNIT: bool, const K: usize>(
+    data: &Dataset,
+    counts: &[u32],
+    rows: Range<usize>,
+    wt: &[f64],
+    intercepts: &[f64],
+    acc: &mut [f64],
+) -> Option<f64> {
+    let d = data.n_features;
+    debug_assert_eq!(counts.len(), data.len());
+    let Ok(bias) = <&[f64; K]>::try_from(intercepts) else { return None };
+    let (w_blocks, []) = wt.as_chunks::<K>() else { return None };
+    let (gt, gi) = acc.split_last_chunk_mut::<K>()?;
+    let (g_blocks, []) = gt.as_chunks_mut::<K>() else { return None };
+    if w_blocks.len() != d || g_blocks.len() != d {
+        return None;
+    }
+
+    let mut loss = 0.0;
+    for r in rows {
+        let (idx, vals) = data.row(r);
+        let y = data.labels[r] as usize;
+        let c = f64::from(counts[r]);
+        let mut scores = [0.0; K];
+        for (&i, &v) in idx.iter().zip(vals) {
+            // Skip rule of `SparseVec::dot`: indices ≥ d (features interned
+            // after the weights were sized) have no block and contribute
+            // nothing.
+            let Some(ws) = w_blocks.get(i as usize) else { continue };
+            let xv = f64::from(v);
+            for (s, &wv) in scores.iter_mut().zip(ws) {
+                *s += if UNIT { wv } else { xv * wv };
+            }
+        }
+        for (s, &b) in scores.iter_mut().zip(bias) {
+            *s += b; // intercept after the feature sum, as in `dot + row[d]`
+        }
+        // log-sum-exp for the normalizer.
+        let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let lse = max + scores.iter().map(|s| (s - max).exp()).sum::<f64>().ln();
+        loss += c * (lse - scores[y]);
+
+        let coeffs: [f64; K] =
+            std::array::from_fn(|ki| c * ((scores[ki] - lse).exp() - f64::from(ki == y)));
+        for (&i, &v) in idx.iter().zip(vals) {
+            let Some(gs) = g_blocks.get_mut(i as usize) else { continue };
+            let xv = f64::from(v);
+            for (g, &co) in gs.iter_mut().zip(&coeffs) {
+                *g += if UNIT { co } else { co * xv };
+            }
+        }
+        for (g, &co) in gi.iter_mut().zip(&coeffs) {
+            *g += co; // intercept "feature" is the constant 1
+        }
+    }
+    Some(loss)
+}
+
+/// [`loss_grad_span`] over a runtime class count: the fallback for class
+/// sets wider than 24, with the row's scores and coefficients in two
+/// `k`-long buffers allocated once per call.
+fn span_kernel_wide(
+    data: &Dataset,
+    counts: &[u32],
+    rows: Range<usize>,
+    wt: &[f64],
+    intercepts: &[f64],
+    acc: &mut [f64],
+) -> f64 {
     if data.all_unit {
-        span_kernel::<true>(data, counts, lo, hi, wt, intercepts, acc, scores, coeffs)
+        span_kernel_wide_by::<true>(data, counts, rows, wt, intercepts, acc)
     } else {
-        span_kernel::<false>(data, counts, lo, hi, wt, intercepts, acc, scores, coeffs)
+        span_kernel_wide_by::<false>(data, counts, rows, wt, intercepts, acc)
     }
 }
 
-// `r` indexes three parallel arrays (rows, labels, counts), so a range
-// loop reads better than enumerating any single one of them.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn span_kernel<const UNIT: bool>(
+#[allow(clippy::needless_range_loop)]
+fn span_kernel_wide_by<const UNIT: bool>(
     data: &Dataset,
     counts: &[u32],
-    lo: usize,
-    hi: usize,
+    rows: Range<usize>,
     wt: &[f64],
     intercepts: &[f64],
     acc: &mut [f64],
-    scores: &mut Vec<f64>,
-    coeffs: &mut Vec<f64>,
 ) -> f64 {
     let k = data.n_classes;
     let d = data.n_features;
@@ -690,21 +793,17 @@ fn span_kernel<const UNIT: bool>(
     debug_assert_eq!(acc.len(), d * k + k);
     debug_assert_eq!(counts.len(), data.len());
     let (gt, gi) = acc.split_at_mut(d * k);
-    scores.clear();
-    scores.resize(k, 0.0);
-    coeffs.clear();
-    coeffs.resize(k, 0.0);
+    let mut scores = vec![0.0; k];
+    let mut coeffs = vec![0.0; k];
 
     let mut loss = 0.0;
-    for r in lo..hi {
+    for r in rows {
         let (idx, vals) = data.row(r);
         let y = data.labels[r] as usize;
         let c = f64::from(counts[r]);
         scores.fill(0.0);
         for (&i, &v) in idx.iter().zip(vals) {
             let i = i as usize;
-            // Skip rule of `SparseVec::dot`: indices ≥ d (features interned
-            // after the weights were sized) contribute nothing.
             if i >= d {
                 continue;
             }
@@ -715,17 +814,14 @@ fn span_kernel<const UNIT: bool>(
             }
         }
         for (s, &b) in scores.iter_mut().zip(intercepts) {
-            *s += b; // intercept after the feature sum, as in `dot + row[d]`
+            *s += b;
         }
-        // log-sum-exp for the normalizer.
         let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let lse = max + scores.iter().map(|s| (s - max).exp()).sum::<f64>().ln();
         loss += c * (lse - scores[y]);
 
         for (ki, (co, s)) in coeffs.iter_mut().zip(scores.iter()).enumerate() {
-            let p = (s - lse).exp();
-            let indicator = f64::from(ki == y);
-            *co = c * (p - indicator);
+            *co = c * ((s - lse).exp() - f64::from(ki == y));
         }
         for (&i, &v) in idx.iter().zip(vals) {
             let i = i as usize;
@@ -739,25 +835,27 @@ fn span_kernel<const UNIT: bool>(
             }
         }
         for (g, &co) in gi.iter_mut().zip(coeffs.iter()) {
-            *g += co; // intercept "feature" is the constant 1
+            *g += co;
         }
     }
     loss
 }
 
-/// Reusable buffers for one objective evaluation: the transposed weights,
-/// the packed transposed-gradient accumulator (`d*k` feature slots then `k`
-/// intercept slots), and the per-row score/coefficient scratch. One of
-/// these lives for a whole optimizer run, so the per-evaluation transpose
-/// is the only O(dim) work added — the same order as the `grad.fill(0.0)`
-/// each evaluation already pays.
+/// One row span's data loss, its gradient accumulated into a transposed
+/// accumulator: [`loss_grad_span`] in training, [`span_kernel_wide`] as the
+/// runtime-width reference the tests compare it against.
+type SpanFn = fn(&Dataset, &[u32], Range<usize>, &[f64], &[f64], &mut [f64]) -> f64;
+
+/// Reusable buffers for one objective evaluation: the transposed weights
+/// and the packed transposed-gradient accumulator (`d*k` feature slots then
+/// `k` intercept slots). One of these lives for a whole optimizer run, so
+/// the per-evaluation transpose is the only O(dim) work added — the same
+/// order as the `grad.fill(0.0)` each evaluation already pays.
 #[derive(Debug, Default)]
 struct SpanScratch {
     wt: Vec<f64>,
     intercepts: Vec<f64>,
     acc: Vec<f64>,
-    scores: Vec<f64>,
-    coeffs: Vec<f64>,
 }
 
 /// Deterministic block structure for parallel gradient accumulation over
@@ -796,6 +894,7 @@ fn accumulate_on(
     w: &[f64],
     grad: &mut [f64],
     scratch: &mut SpanScratch,
+    span: SpanFn,
 ) -> f64 {
     let k = data.n_classes;
     let d = data.n_features;
@@ -806,17 +905,7 @@ fn accumulate_on(
     scratch.acc.resize(d * k + k, 0.0);
     let blocks = grad_blocks(data.len());
     let loss = if blocks.len() <= 1 {
-        loss_grad_span(
-            data,
-            counts,
-            0,
-            data.len(),
-            &scratch.wt,
-            &scratch.intercepts,
-            &mut scratch.acc,
-            &mut scratch.scores,
-            &mut scratch.coeffs,
-        )
+        span(data, counts, 0..data.len(), &scratch.wt, &scratch.intercepts, &mut scratch.acc)
     } else {
         let wt = &scratch.wt;
         let intercepts = &scratch.intercepts;
@@ -825,19 +914,7 @@ fn accumulate_on(
             auto_chunk_coarse(blocks.len(), rt.threads()),
             |&(a, b)| {
                 let mut part = vec![0.0; d * k + k];
-                let mut scores = Vec::new();
-                let mut coeffs = Vec::new();
-                let l = loss_grad_span(
-                    data,
-                    counts,
-                    a,
-                    b,
-                    wt,
-                    intercepts,
-                    &mut part,
-                    &mut scores,
-                    &mut coeffs,
-                );
+                let l = span(data, counts, a..b, wt, intercepts, &mut part);
                 (l, part)
             },
         );
@@ -893,7 +970,7 @@ fn loss_grad_folded_on(
     scratch: &mut SpanScratch,
 ) -> f64 {
     grad.fill(0.0);
-    let loss = accumulate_on(rt, data, counts, w, grad, scratch);
+    let loss = accumulate_on(rt, data, counts, w, grad, scratch, loss_grad_span);
     loss + add_l2_penalty(data, c, w, grad)
 }
 
@@ -1246,13 +1323,18 @@ mod tests {
     /// A dataset big enough to cross the multi-block threshold of
     /// `grad_blocks` (> 2 × `GRAD_MIN_BLOCK` examples).
     fn blocky_dataset() -> Dataset {
-        let mut data = Dataset::new(3, 6);
+        blocky_dataset_k(3)
+    }
+
+    /// [`blocky_dataset`] over `k` classes.
+    fn blocky_dataset_k(k: usize) -> Dataset {
+        let mut data = Dataset::new(k, 6);
         for i in 0..500usize {
             let a = (i * 7 % 13) as f32 * 0.25 - 1.0;
             let b = (i * 11 % 17) as f32 * 0.125;
             let x =
                 SparseVec::from_pairs(vec![((i % 6) as u32, a), (((i + 2) % 6) as u32, b + 1.0)]);
-            data.push(x, (i % 3) as u32);
+            data.push(x, (i % k) as u32);
         }
         data
     }
@@ -1273,21 +1355,97 @@ mod tests {
 
     #[test]
     fn blocked_gradient_is_bit_identical_at_every_thread_count() {
-        let data = blocky_dataset();
-        assert!(grad_blocks(data.len()).len() > 1, "fixture must exercise multiple blocks");
-        let dim = 3 * 7;
-        let w: Vec<f64> = (0..dim).map(|i| ((i * 5 % 9) as f64 - 4.0) * 0.05).collect();
-        let mut ref_grad = vec![0.0; dim];
-        let ref_loss = loss_grad_on(&Runtime::sequential(), &data, 1.0, &w, &mut ref_grad);
-        for threads in [2, 4, 8] {
-            let rt = Runtime::new(threads);
-            let mut grad = vec![0.0; dim];
-            let loss = loss_grad_on(&rt, &data, 1.0, &w, &mut grad);
-            assert_eq!(loss.to_bits(), ref_loss.to_bits(), "loss diverged at threads={threads}");
-            assert!(
-                grad.iter().zip(&ref_grad).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "gradient diverged at threads={threads}"
-            );
+        for k in [3, 10, 18] {
+            let data = blocky_dataset_k(k);
+            assert!(grad_blocks(data.len()).len() > 1, "fixture must exercise multiple blocks");
+            let dim = k * 7;
+            let w: Vec<f64> = (0..dim).map(|i| ((i * 5 % 9) as f64 - 4.0) * 0.05).collect();
+            let mut ref_grad = vec![0.0; dim];
+            let ref_loss = loss_grad_on(&Runtime::sequential(), &data, 1.0, &w, &mut ref_grad);
+            for threads in [2, 4, 8] {
+                let rt = Runtime::new(threads);
+                let mut grad = vec![0.0; dim];
+                let loss = loss_grad_on(&rt, &data, 1.0, &w, &mut grad);
+                assert_eq!(
+                    loss.to_bits(),
+                    ref_loss.to_bits(),
+                    "loss diverged at k={k}, threads={threads}"
+                );
+                assert!(
+                    grad.iter().zip(&ref_grad).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "gradient diverged at k={k}, threads={threads}"
+                );
+            }
+        }
+    }
+
+    /// A seeded random dataset over `k` classes and 40 features whose
+    /// folded form holds more than `2 × GRAD_MIN_BLOCK` unique rows, many of
+    /// them with a multiplicity above 1. `unit` rows are pure indicators;
+    /// otherwise values are drawn from a few non-unit weights.
+    fn random_folded_dataset(seed: u64, k: usize, unit: bool) -> FoldedDataset {
+        let mut state = seed;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let d = 40;
+        let mut data = Dataset::new(k, d);
+        for _ in 0..300 {
+            let mut idx: Vec<u32> = (0..next(8)).map(|_| next(d as u64) as u32).collect();
+            idx.sort_unstable();
+            idx.dedup();
+            let pairs = idx
+                .into_iter()
+                .map(|i| (i, if unit { 1.0 } else { [0.5, -1.25, 2.0, 1.0][next(4) as usize] }));
+            let x = SparseVec::from_pairs(pairs.collect());
+            let y = next(k as u64) as u32;
+            for _ in 0..1 + next(3) {
+                data.push(x.clone(), y);
+            }
+        }
+        assert_eq!(data.all_unit, unit, "fixture must take the intended kernel");
+        data.fold_duplicates()
+    }
+
+    #[test]
+    fn const_width_kernel_is_bit_identical_to_the_runtime_width_kernel() {
+        // Every width of the dispatch `match`, and one beyond it, which
+        // takes the runtime-width kernel on both sides.
+        for k in (2..=24).chain([29]) {
+            for unit in [true, false] {
+                let folded = random_folded_dataset(k as u64 * 2 + u64::from(unit), k, unit);
+                let (data, counts) = (&folded.data, &folded.counts[..]);
+                assert!(grad_blocks(data.len()).len() > 1, "fixture must span several blocks");
+                assert!(counts.iter().any(|&c| c > 1), "fixture must fold");
+                let dim = k * (data.n_features + 1);
+                let w: Vec<f64> = (0..dim).map(|i| ((i * 13 % 23) as f64 - 11.0) * 0.03).collect();
+                let eval = |rt: &Runtime, span: SpanFn| {
+                    let mut grad = vec![0.0; dim];
+                    let mut scratch = SpanScratch::default();
+                    let loss = accumulate_on(rt, data, counts, &w, &mut grad, &mut scratch, span);
+                    (loss, grad)
+                };
+                let (ref_loss, ref_grad) = eval(&Runtime::sequential(), span_kernel_wide);
+                for threads in [1, 2, 8] {
+                    let (loss, grad) = eval(&Runtime::new(threads), loss_grad_span);
+                    assert_eq!(
+                        loss.to_bits(),
+                        ref_loss.to_bits(),
+                        "loss diverged at k={k}, unit={unit}, threads={threads}"
+                    );
+                    for (i, (a, b)) in grad.iter().zip(&ref_grad).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "grad[{i}] diverged at k={k}, unit={unit}, threads={threads}"
+                        );
+                    }
+                }
+            }
         }
     }
 
