@@ -61,8 +61,6 @@ struct Correction {
     y: Vec<f64>,
     /// sᵀy, accumulated in index order while `s` and `y` are written.
     sy: f64,
-    /// 1 / sᵀy.
-    rho: f64,
     /// yᵀy, accumulated the same way.
     yy: f64,
 }
@@ -142,21 +140,18 @@ where
         }
 
         // Update history with the accepted step.
-        let mut pair = spare.take().unwrap_or_else(|| Correction {
-            s: vec![0.0; n],
-            y: vec![0.0; n],
-            sy: 0.0,
-            rho: 0.0,
-            yy: 0.0,
-        });
+        let (mut s, mut y) = match spare.take() {
+            Some(old) => (old.s, old.y),
+            None => (vec![0.0; n], vec![0.0; n]),
+        };
         let (mut sy, mut yy) = (0.0, 0.0);
         for i in 0..n {
-            pair.s[i] = x[i] - x_prev[i];
-            pair.y[i] = grad[i] - grad_prev[i];
-            sy += pair.s[i] * pair.y[i];
-            yy += pair.y[i] * pair.y[i];
+            s[i] = x[i] - x_prev[i];
+            y[i] = grad[i] - grad_prev[i];
+            sy += s[i] * y[i];
+            yy += y[i] * y[i];
         }
-        (pair.sy, pair.rho, pair.yy) = (sy, 1.0 / sy, yy);
+        let pair = Correction { s, y, sy, yy };
         // Skip the pair if curvature is not positive (keeps H ≻ 0).
         if sy > 1e-10 && cfg.history > 0 {
             if history.len() == cfg.history {
@@ -188,7 +183,8 @@ fn two_loop(
     direction.copy_from_slice(grad);
     alpha.clear();
     for pair in history.iter().rev() {
-        let a = pair.rho * pair.s.iter().zip(direction.iter()).map(|(s, q)| s * q).sum::<f64>();
+        let rho = 1.0 / pair.sy;
+        let a = rho * pair.s.iter().zip(direction.iter()).map(|(s, q)| s * q).sum::<f64>();
         alpha.push(a);
         for (q, y) in direction.iter_mut().zip(&pair.y) {
             *q -= a * y;
@@ -204,7 +200,8 @@ fn two_loop(
         }
     }
     for (pair, &a) in history.iter().zip(alpha.iter().rev()) {
-        let beta = pair.rho * pair.y.iter().zip(direction.iter()).map(|(y, q)| y * q).sum::<f64>();
+        let rho = 1.0 / pair.sy;
+        let beta = rho * pair.y.iter().zip(direction.iter()).map(|(y, q)| y * q).sum::<f64>();
         for (q, s) in direction.iter_mut().zip(&pair.s) {
             *q += (a - beta) * s;
         }

@@ -698,9 +698,6 @@ fn loss_grad_span(
 /// touched nothing, when the buffers do not have the `K`-wide shape the
 /// dataset implies (never, for buffers sized by [`accumulate_on`]), so the
 /// caller can fall back to [`span_kernel_wide`] instead of panicking.
-// `r` indexes three parallel arrays (rows, labels, counts), so a range
-// loop reads better than enumerating any single one of them.
-#[allow(clippy::needless_range_loop)]
 fn span_kernel<const UNIT: bool, const K: usize>(
     data: &Dataset,
     counts: &[u32],
@@ -761,24 +758,10 @@ fn span_kernel<const UNIT: bool, const K: usize>(
 
 /// [`loss_grad_span`] over a runtime class count: the fallback for class
 /// sets wider than 24, with the row's scores and coefficients in two
-/// `k`-long buffers allocated once per call.
+/// `k`-long buffers allocated once per call. It always multiplies by the
+/// feature value; on indicator rows that is a multiply by exactly 1.0,
+/// which leaves every bit of the multiply-free kernel's result unchanged.
 fn span_kernel_wide(
-    data: &Dataset,
-    counts: &[u32],
-    rows: Range<usize>,
-    wt: &[f64],
-    intercepts: &[f64],
-    acc: &mut [f64],
-) -> f64 {
-    if data.all_unit {
-        span_kernel_wide_by::<true>(data, counts, rows, wt, intercepts, acc)
-    } else {
-        span_kernel_wide_by::<false>(data, counts, rows, wt, intercepts, acc)
-    }
-}
-
-#[allow(clippy::needless_range_loop)]
-fn span_kernel_wide_by<const UNIT: bool>(
     data: &Dataset,
     counts: &[u32],
     rows: Range<usize>,
@@ -807,10 +790,9 @@ fn span_kernel_wide_by<const UNIT: bool>(
             if i >= d {
                 continue;
             }
-            let ws = &wt[i * k..(i + 1) * k];
             let xv = f64::from(v);
-            for (s, &wv) in scores.iter_mut().zip(ws) {
-                *s += if UNIT { wv } else { xv * wv };
+            for (s, &wv) in scores.iter_mut().zip(&wt[i * k..(i + 1) * k]) {
+                *s += xv * wv;
             }
         }
         for (s, &b) in scores.iter_mut().zip(intercepts) {
@@ -820,7 +802,7 @@ fn span_kernel_wide_by<const UNIT: bool>(
         let lse = max + scores.iter().map(|s| (s - max).exp()).sum::<f64>().ln();
         loss += c * (lse - scores[y]);
 
-        for (ki, (co, s)) in coeffs.iter_mut().zip(scores.iter()).enumerate() {
+        for (ki, (co, s)) in coeffs.iter_mut().zip(&scores).enumerate() {
             *co = c * ((s - lse).exp() - f64::from(ki == y));
         }
         for (&i, &v) in idx.iter().zip(vals) {
@@ -828,13 +810,12 @@ fn span_kernel_wide_by<const UNIT: bool>(
             if i >= d {
                 continue;
             }
-            let gs = &mut gt[i * k..(i + 1) * k];
             let xv = f64::from(v);
-            for (g, &co) in gs.iter_mut().zip(coeffs.iter()) {
-                *g += if UNIT { co } else { co * xv };
+            for (g, &co) in gt[i * k..(i + 1) * k].iter_mut().zip(&coeffs) {
+                *g += co * xv;
             }
         }
-        for (g, &co) in gi.iter_mut().zip(coeffs.iter()) {
+        for (g, &co) in gi.iter_mut().zip(&coeffs) {
             *g += co;
         }
     }
