@@ -1,9 +1,9 @@
 //! # ceres-bench
 //!
-//! Benchmark harness: the `repro` binary regenerates every table and figure
-//! of the paper (see `repro help`), and the Criterion benches
-//! (`benches/substrates.rs`, `benches/pipeline.rs`) measure the runtime of
-//! each pipeline stage on representative workloads.
+//! Paper reproduction: the `repro` binary regenerates every table and figure
+//! of the paper (see `repro help`). Performance is measured by the
+//! repository benchmark (`benchmark/`), whose traced run reports every
+//! pipeline stage and layer from the same inputs.
 
 /// Parse `--scale`, `--seed`, `--threads` and the experiment list from CLI
 /// args (`--threads 0` = auto: `CERES_THREADS`, then the machine).
