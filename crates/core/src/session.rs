@@ -1150,53 +1150,15 @@ impl<'kb> TrainedSite<'kb> {
         std::mem::take(&mut self.train_views)
     }
 
-    /// Which template cluster `view` would be served by, if any (an index
-    /// into the training clustering, largest cluster first).
-    pub fn assign(&self, view: &PageView) -> Option<usize> {
-        self.clustering.assign(view)
-    }
-
     /// Training-side statistics (`n_extraction_pages` is 0 until a
     /// [`SiteRun`] is assembled by [`TrainedSite::into_site_run`]).
     pub fn stats(&self) -> &SiteRunStats {
         &self.stats
     }
 
-    /// Per-stage wall times of the training run that produced this site
-    /// (`extract` is zero here — extraction happens after training; see
-    /// [`SiteRun::profile`]). All-zero on a site loaded from an artifact:
-    /// wall times are observations about a past process, not part of the
-    /// model, so they are never serialized.
-    pub fn profile(&self) -> &StageProfile {
-        &self.profile
-    }
-
-    /// Duplicate-folding totals of the Train stage that produced this site
-    /// (summed over per-cluster models). Zeros on a site loaded from an
-    /// artifact: like wall times, folding counts describe a past training
-    /// process and are never serialized — see [`TrainFoldStats`].
-    pub fn fold_stats(&self) -> &TrainFoldStats {
-        &self.fold
-    }
-
-    /// Topic decisions recorded during training (Table 7 input).
-    pub fn topic_records(&self) -> &[TopicRecord] {
-        &self.topic_records
-    }
-
-    /// Relation annotations recorded during training (Table 6 input).
-    pub fn annotation_records(&self) -> &[AnnotationRecord] {
-        &self.annotation_records
-    }
-
     /// Number of pages the site was trained on.
     pub fn n_training_pages(&self) -> usize {
         self.train_views.len()
-    }
-
-    /// The KB this site was trained against.
-    pub fn kb(&self) -> &'kb Kb {
-        self.kb
     }
 
     /// Assemble a batch-style [`SiteRun`] from this site's training
@@ -1542,8 +1504,8 @@ mod tests {
 
         let detail_view = PageView::build("d-x", &details[3].1, &kb);
         let review_view = PageView::build("r-x", &reviews[3].1, &kb);
-        let cd = trained.assign(&detail_view).expect("detail page must match a cluster");
-        let cr = trained.assign(&review_view).expect("review page must match a cluster");
+        let cd = trained.clustering.assign(&detail_view).expect("detail page must match a cluster");
+        let cr = trained.clustering.assign(&review_view).expect("review page must match a cluster");
         assert_ne!(cd, cr, "the two templates must map to different clusters");
         // Both clusters carry a trained model: the outcome-typed serve path
         // reports `Unassigned` for a cluster without one.
@@ -1603,8 +1565,8 @@ mod tests {
 
         // Training-side state crossed the boundary…
         assert_eq!(loaded.stats(), trained.stats());
-        assert_eq!(loaded.topic_records(), trained.topic_records());
-        assert_eq!(loaded.annotation_records(), trained.annotation_records());
+        assert_eq!(loaded.topic_records, trained.topic_records);
+        assert_eq!(loaded.annotation_records, trained.annotation_records);
         // …the parsed corpus did not.
         assert_eq!(loaded.n_training_pages(), 0);
         assert!(loaded.extract_training_pages().is_empty());

@@ -4,7 +4,7 @@
 use ceres_core::extract::{ExtractLabel, Extraction};
 use ceres_core::pipeline::{AnnotationRecord, TopicRecord};
 use ceres_kb::Kb;
-use ceres_synth::{Page, PageGold, PageKind, Site};
+use ceres_synth::{PageGold, PageKind, Site};
 use ceres_text::{normalize, FxHashMap, FxHashSet};
 
 /// Precision/recall/F1 from true-positive, false-positive, false-negative
@@ -57,10 +57,6 @@ pub struct GoldIndex<'a> {
 impl<'a> GoldIndex<'a> {
     pub fn new(site: &'a Site) -> Self {
         GoldIndex { by_page: site.pages.iter().map(|p| (p.id.as_str(), &p.gold)).collect() }
-    }
-
-    pub fn from_pages<I: IntoIterator<Item = &'a Page>>(pages: I) -> Self {
-        GoldIndex { by_page: pages.into_iter().map(|p| (p.id.as_str(), &p.gold)).collect() }
     }
 
     pub fn gold(&self, page_id: &str) -> Option<&'a PageGold> {
@@ -353,7 +349,7 @@ pub fn score_annotations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceres_synth::GoldFact;
+    use ceres_synth::{GoldFact, Page};
 
     #[test]
     fn prf_arithmetic() {

@@ -24,9 +24,7 @@
 //!
 //! Worker panics propagate to the caller: the payload of the
 //! lowest-indexed panicking item is re-raised (deterministic even when
-//! several items panic), and remaining work is abandoned promptly. For
-//! fallible stages prefer [`Runtime::try_par_map`], which returns the
-//! lowest-indexed `Err` instead of unwinding.
+//! several items panic), and remaining work is abandoned promptly.
 //!
 //! ## Fault isolation
 //!
@@ -199,22 +197,6 @@ impl Runtime {
             return items.iter().map(f).collect();
         }
         pool::run(items, chunk, threads, &f)
-    }
-
-    /// Fallible [`Runtime::par_map`]: every item is attempted, and the
-    /// **lowest-indexed** `Err` is returned (deterministic at any thread
-    /// count); `Ok` carries the results in item order. Panics still
-    /// propagate as panics.
-    pub fn try_par_map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&T) -> Result<R, E> + Sync,
-    {
-        // The indexed merge makes `collect` see errors in item order, so
-        // the first one it stops at is the lowest-indexed failure.
-        self.par_map(items, f).into_iter().collect()
     }
 
     /// Panic-isolated [`Runtime::par_map`]: every item is attempted, and an
@@ -443,30 +425,6 @@ mod tests {
             rt.par_map(&inner, |&j| i * j).into_iter().sum::<usize>()
         });
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn try_par_map_returns_lowest_indexed_error() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 2, 8] {
-            let rt = Runtime::new(threads);
-            let ok: Result<Vec<usize>, String> = rt.try_par_map(&items, |&x| Ok(x * 2));
-            assert_eq!(ok.unwrap()[50], 100, "threads={threads}");
-            let err: Result<Vec<usize>, String> =
-                rt.try_par_map(
-                    &items,
-                    |&x| {
-                        if x % 7 == 3 {
-                            Err(format!("bad {x}"))
-                        } else {
-                            Ok(x)
-                        }
-                    },
-                );
-            // Items 3, 10, 17, … fail; the lowest index must win at any
-            // thread count.
-            assert_eq!(err.unwrap_err(), "bad 3", "threads={threads}");
-        }
     }
 
     #[test]

@@ -82,10 +82,6 @@ impl Site {
         let eval = self.pages.iter().skip(1).step_by(2).collect();
         (train, eval)
     }
-
-    pub fn detail_page_count(&self) -> usize {
-        self.pages.iter().filter(|p| p.gold.kind == PageKind::Detail).count()
-    }
 }
 
 #[cfg(test)]

@@ -17,10 +17,7 @@
 //! * [`core`] — the CERES pipeline (Algorithms 1 & 2, training, extraction)
 //!   and the baselines (CERES-TOPIC, CERES-BASELINE, VERTEX++);
 //! * [`eval`] — gold-standard scoring and the per-table/figure experiment
-//!   runners;
-//! * [`fusion`] — knowledge fusion + entity linkage over extraction results
-//!   (the post-processing the paper defers to Knowledge Vault / big-data
-//!   integration).
+//!   runners.
 //!
 //! ## Quickstart
 //!
@@ -111,7 +108,6 @@
 pub use ceres_core as core;
 pub use ceres_dom as dom;
 pub use ceres_eval as eval;
-pub use ceres_fusion as fusion;
 pub use ceres_kb as kb;
 pub use ceres_ml as ml;
 pub use ceres_runtime as runtime;

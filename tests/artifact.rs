@@ -59,6 +59,7 @@ fn loaded_artifact_serves_byte_identically_across_the_thread_matrix() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("ceres-artifact-test-{}.ceres", std::process::id()));
     std::fs::write(&path, &bytes).expect("write artifact file");
+    let mut loaded_records = Vec::new();
     for threads in THREAD_COUNTS {
         let file = std::fs::File::open(&path).expect("open artifact file");
         let loaded =
@@ -74,10 +75,19 @@ fn loaded_artifact_serves_byte_identically_across_the_thread_matrix() {
         }
         // Training-side records crossed the boundary; the corpus did not.
         assert_eq!(loaded.stats(), reference_site.stats());
-        assert_eq!(loaded.topic_records(), reference_site.topic_records());
         assert_eq!(loaded.n_training_pages(), 0);
+        let run = loaded.into_site_run(Vec::new(), 0);
+        loaded_records.push((threads, run.topic_records, run.annotation_records));
     }
     let _ = std::fs::remove_file(&path);
+    let reference_run = reference_site.into_site_run(Vec::new(), 0);
+    for (threads, topics, annotations) in loaded_records {
+        assert_eq!(topics, reference_run.topic_records, "topic records at {threads} threads");
+        assert_eq!(
+            annotations, reference_run.annotation_records,
+            "annotation records at {threads} threads"
+        );
+    }
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! Golden output digests: a streaming FNV-1a (`ceres_store::Fnv64`) over
-//! the canonical form of two fixed runs' extractions, compared against the
+//! the canonical form of fixed runs' extractions and stats, compared against the
 //! hex values committed in `tests/golden_digests.txt`.
 //!
 //! * `movie_vertical_run_site` — [`run_site`] on every site of the movie
 //!   vertical at scale 0.02, training on the first half of each site and
-//!   extracting from the second;
+//!   extracting from the second; `movie_vertical_run_site_stats` digests
+//!   the same runs' encoded `SiteRunStats`;
 //! * `hostile_serve` — a session trained on one movie site serves its
 //!   held-out half followed by the whole hostile corpus through
 //!   `try_extract_batch`, outcome by outcome;
@@ -18,7 +19,7 @@
 //! alone. A change that means to alter output updates the file in the same
 //! commit and says why.
 
-use ceres::core::{ExtractOutcome, SiteSession};
+use ceres::core::{ExtractOutcome, SiteRunStats, SiteSession};
 use ceres::prelude::*;
 use ceres::store::{Encode, Fnv64, Writer};
 use ceres::synth::commoncrawl;
@@ -75,6 +76,12 @@ fn outcome(h: &mut Fnv64, o: &ExtractOutcome) {
     }
 }
 
+fn site_stats(h: &mut Fnv64, stats: &SiteRunStats) {
+    let mut w = Writer::new();
+    stats.encode(&mut w);
+    h.write(&w.into_bytes());
+}
+
 fn pages_of(site: &ceres::synth::dataset::Site) -> Vec<(String, String)> {
     site.pages.iter().map(|p| (p.id.clone(), p.html.clone())).collect()
 }
@@ -92,6 +99,7 @@ fn movie_vertical_run_site_digest_is_golden() {
     let (v, _) = movie_vertical(SwdeConfig { seed: 5, scale: 0.02 });
     let cfg = CeresConfig::new(5);
     let mut h = Fnv64::new();
+    let mut h_stats = Fnv64::new();
     let mut n_facts = 0;
     for (i, site) in v.sites.iter().enumerate() {
         let pages = pages_of(site);
@@ -99,10 +107,13 @@ fn movie_vertical_run_site_digest_is_golden() {
         let run = run_site(&v.kb, train, Some(eval), &cfg, AnnotationMode::Full);
         section(&mut h, "site", i);
         extractions(&mut h, &run.extractions);
+        section(&mut h_stats, "site", i);
+        site_stats(&mut h_stats, &run.stats);
         n_facts += run.extractions.len();
     }
     assert!(n_facts > 100, "a digest of near-empty output pins nothing: {n_facts} facts");
     check("movie_vertical_run_site", h.finish());
+    check("movie_vertical_run_site_stats", h_stats.finish());
 }
 
 #[test]
@@ -152,9 +163,7 @@ fn commoncrawl_run_site_digest_is_golden() {
         let run = run_site(&data.kb, &pages_of(site), None, &cfg, AnnotationMode::Full);
         section(&mut h, "site", i);
         extractions(&mut h, &run.extractions);
-        let mut stats = Writer::new();
-        run.stats.encode(&mut stats);
-        h.write(&stats.into_bytes());
+        site_stats(&mut h, &run.stats);
         n_facts += run.extractions.len();
         if run.stats.trained {
             widths.insert(run.stats.n_classes);

@@ -5,6 +5,7 @@
 //! ingest blocks parse in parallel.
 
 use ceres::core::page::PageView;
+use ceres::core::ExtractOutcome;
 use ceres::eval::harness::{protocol_pages, EvalProtocol};
 use ceres::prelude::*;
 use ceres::synth::swde::{movie_vertical, SwdeConfig, SwdeVertical};
@@ -111,13 +112,8 @@ fn extract_page_serves_unseen_pages_one_at_a_time() {
     let mut assigned = 0usize;
     for (id, html) in &eval {
         let view = PageView::build(id, html, &v.kb);
-        if let Some(ci) = trained.assign(&view) {
+        if matches!(trained.try_extract_page(id, html), ExtractOutcome::Ok(_)) {
             assigned += 1;
-            assert!(
-                ci < trained.stats().n_clusters,
-                "assignment {ci} out of range ({} clusters)",
-                trained.stats().n_clusters
-            );
         }
         one_at_a_time.extend(trained.extract_view(&view));
         // extract_page and extract_view agree on the same input.
