@@ -27,32 +27,39 @@
 //!   kept as the reference path the equivalence suite pins the sinks to.
 //!
 //! Node-text paths are read off the nearby field's stored absolute XPath
-//! rather than walked in the DOM, so with a warm [`FeatureScratch`] name
-//! emission performs no transient allocations; the interning sink
-//! allocates only to store a name it has not seen.
+//! rather than walked in the DOM, and numbers are written by a small
+//! decimal writer on [`NameBuf`] rather than through `core::fmt`, so with a
+//! warm [`FeatureScratch`] name emission performs no transient
+//! allocations; the interning sink allocates only to store a name it has
+//! not seen.
 //!
 //! ## One pass per page when serving
 //!
 //! A structural *segment* — a chain node's tag/attribute features, its
 //! sibling number and (above the leaf) its sibling window — depends only
 //! on the (chain node, level) pair, and a page's fields share most of
-//! their ancestor chains. [`FeatureSpace::frozen_page`] returns a
-//! [`FrozenPage`] that emits each segment once per page, keeps its frozen
-//! ids, and reuses them for every later field. Once its memo holds a
-//! row's segments, [`FrozenPage::row`] allocates only the exact-size
-//! output `SparseVec` (pinned by `tests/frozen_row_alloc.rs`).
+//! their ancestor chains. A node-text name depends only on the nearby
+//! field, the depth of its lowest common ancestor with the featurized node
+//! and the levels `up` to it, and a page's fields share most of those
+//! too. [`FeatureSpace::frozen_page`] returns a [`FrozenPage`] that tests
+//! each field against the frequent-string lexicon once, emits each segment
+//! and looks up each node-text name once per page, keeps the frozen ids
+//! (and the node-text misses), and reuses them for every later field. Both
+//! paths run the same nearby-field scan and the same name grammar. Once
+//! its memos hold a row's segments and names, [`FrozenPage::row`]
+//! allocates only the exact-size output `SparseVec` (pinned by
+//! `tests/frozen_row_alloc.rs`).
 //!
 //! Ground-truth hygiene: all `data-*` attributes — in particular the
 //! generator's `data-gt` — are excluded from features (unit-tested below).
 
 use crate::config::FeatureConfig;
-use crate::page::PageView;
-use ceres_dom::NodeId;
+use crate::page::{FieldInfo, PageView};
+use ceres_dom::{NodeId, Step};
 use ceres_ml::{FeatureDict, SparseVec};
 use ceres_store::{Decode, Encode, Error as StoreError, Reader, Writer};
 use ceres_text::{FxHashMap, FxHashSet};
 use std::collections::hash_map::Entry;
-use std::fmt::Write as _;
 
 /// Attributes used for structural features (paper list).
 const FEATURE_ATTRS: &[&str] = &["class", "id", "itemprop", "itemtype", "property"];
@@ -90,13 +97,73 @@ impl NameBuf {
 
     /// Start assembling a fresh name: truncate back to the role prefix.
     #[inline]
-    fn begin(&mut self) -> &mut String {
+    fn begin(&mut self) {
         self.s.truncate(self.prefix);
-        &mut self.s
     }
 
-    #[inline]
-    fn as_str(&self) -> &str {
+    /// Append `v` in decimal: the bytes `write!(s, "{v}")` would append,
+    /// without a trip through `core::fmt`.
+    fn push_uint(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.s.extend(digits[i..].iter().map(|&d| char::from(d)));
+    }
+
+    /// Signed twin of [`NameBuf::push_uint`].
+    fn push_int(&mut self, v: i64) {
+        if v < 0 {
+            self.s.push('-');
+        }
+        self.push_uint(v.unsigned_abs());
+    }
+
+    /// `s:{key}={val}@l{level}o{off}` (the tag shape is `key = "tag"`).
+    fn attr_name(&mut self, key: &str, val: &str, level: usize, off: isize) -> &str {
+        self.begin();
+        self.s.push_str("s:");
+        self.s.push_str(key);
+        self.s.push('=');
+        self.s.push_str(val);
+        self.s.push_str("@l");
+        self.push_uint(level as u64);
+        self.s.push('o');
+        self.push_int(off as i64);
+        &self.s
+    }
+
+    /// `s:sib={sib}@l{level}`.
+    fn sib_name(&mut self, sib: usize, level: usize) -> &str {
+        self.begin();
+        self.s.push_str("s:sib=");
+        self.push_uint(sib as u64);
+        self.s.push_str("@l");
+        self.push_uint(level as u64);
+        &self.s
+    }
+
+    /// `t:{label}@^{up}/tag[i]…`, the label cut to at most 30 bytes on a
+    /// character boundary.
+    fn text_name(&mut self, norm: &str, up: usize, steps: &[Step]) -> &str {
+        self.begin();
+        self.s.push_str("t:");
+        self.s.push_str(&norm[..norm.floor_char_boundary(30)]);
+        self.s.push_str("@^");
+        self.push_uint(up as u64);
+        for step in steps {
+            self.s.push('/');
+            self.s.push_str(&step.tag);
+            self.s.push('[');
+            self.push_uint(u64::from(step.index));
+            self.s.push(']');
+        }
         &self.s
     }
 }
@@ -309,11 +376,25 @@ impl FeatureSpace {
 
     /// The frozen featurizer of one page: [`FrozenPage::row`] returns the
     /// same vector `features_with` would on a frozen space, emitting each
-    /// structural segment once per page instead of once per field. The
-    /// memo borrows `page`, so it cannot outlive it or serve another page.
+    /// structural segment and each node-text name once per page instead of
+    /// once per field. The memo borrows `page`, so it cannot outlive it or
+    /// serve another page.
     pub fn frozen_page<'a>(&'a self, page: &'a PageView) -> FrozenPage<'a> {
         debug_assert!(self.dict.is_frozen(), "freeze the feature space before extraction");
-        FrozenPage { space: self, page, ids: Vec::new(), segments: FxHashMap::default() }
+        // One lexicon hash per field, instead of one per (field, nearby
+        // field) pair; left empty when node-text features are off.
+        let mut frequent = Vec::new();
+        if self.cfg.enable_text && !self.frequent_set.is_empty() {
+            frequent.extend(page.fields.iter().map(|f| self.frequent_set.contains(&f.norm)));
+        }
+        FrozenPage {
+            space: self,
+            page,
+            ids: Vec::new(),
+            segments: FxHashMap::default(),
+            frequent,
+            text: FxHashMap::default(),
+        }
     }
 
     /// Feature vector for a *pair* of nodes: each node's features prefixed
@@ -381,22 +462,31 @@ impl FeatureSpace {
 
 /// One page's frozen featurizer (see [`FeatureSpace::frozen_page`]): the
 /// frozen ids of every structural segment emitted so far, end to end, and
-/// a `(chain node, level) → range` map into them.
+/// a `(chain node, level) → range` map into them; which of the page's
+/// fields are frequent strings, and the frozen id (or miss) of every
+/// node-text name looked up so far, under its (nearby field, LCA depth,
+/// `up`) key.
 #[derive(Debug)]
 pub struct FrozenPage<'a> {
     space: &'a FeatureSpace,
     page: &'a PageView,
     ids: Vec<u32>,
     segments: FxHashMap<(NodeId, usize), (u32, u32)>,
+    frequent: Vec<bool>,
+    text: FxHashMap<TextKey, Option<u32>>,
 }
 
 impl FrozenPage<'_> {
     /// The frozen feature vector of `node` — identical to what
     /// [`FeatureSpace::features_with`] returns on the frozen space.
     /// Structural segments already emitted for an earlier field are copied
-    /// from the memo; node-text features are emitted per call.
+    /// from the memo. Node-text features run the same nearby-field scan as
+    /// the streaming emitter, but each name is assembled and looked up only
+    /// the first time its (nearby field, LCA depth, `up`) key occurs on the
+    /// page; later fields read the frozen id, or the cached miss, from the
+    /// memo.
     pub fn row(&mut self, node: NodeId, scratch: &mut FeatureScratch) -> SparseVec {
-        let FrozenPage { space, page, ids, segments } = self;
+        let FrozenPage { space, page, ids, segments, frequent, text } = self;
         let (space, page) = (*space, *page);
         let FeatureScratch { buf, idx } = scratch;
         let cfg = &space.cfg;
@@ -419,9 +509,22 @@ impl FrozenPage<'_> {
             }
             buf.chain = chain;
         }
-        if cfg.enable_text {
-            let mut sink = FrozenSink { dict: &space.dict, idx };
-            text_features(&space.frequent_set, cfg, page, node, buf, &mut sink);
+        if !frequent.is_empty() {
+            let mut chain = std::mem::take(&mut buf.chain);
+            scan_nearby_text(
+                cfg,
+                page,
+                node,
+                &mut chain,
+                |field, _| frequent[field],
+                |key, f, steps| {
+                    let id = *text
+                        .entry(key)
+                        .or_insert_with(|| space.dict.get(buf.text_name(&f.norm, key.up, steps)));
+                    idx.extend(id);
+                },
+            );
+            buf.chain = chain;
         }
         SparseVec::from_indices_buf(idx)
     }
@@ -510,9 +613,7 @@ fn structural_segment(
     emit_node_features(page, n, level, 0, buf, sink);
     // Sibling number of the chain node itself (4th tuple slot).
     let sib = doc.element_sibling_number(n).min(9);
-    let b = buf.begin();
-    let _ = write!(b, "s:sib={sib}@l{level}");
-    sink.accept(buf.as_str());
+    sink.accept(buf.sib_name(sib, level));
     // Siblings of ancestors (not of the leaf node itself — the paper
     // examines "ancestors of the node, and siblings of those ancestors").
     if level >= 1 {
@@ -526,9 +627,7 @@ fn structural_segment(
 }
 
 /// Node-text features: `t:{string}@^{up}/tag[i]…` for every frequent
-/// string among the fields near `node`. The tree path climbs `up` levels
-/// to the lowest common ancestor, then descends the field's own absolute
-/// XPath steps below it — no DOM walk per feature.
+/// string among the fields near `node`, streamed to `sink`.
 fn text_features(
     frequent_set: &FxHashSet<String>,
     cfg: &FeatureConfig,
@@ -540,14 +639,52 @@ fn text_features(
     if frequent_set.is_empty() {
         return;
     }
+    let mut chain = std::mem::take(&mut buf.chain);
+    scan_nearby_text(
+        cfg,
+        page,
+        node,
+        &mut chain,
+        |_, f| frequent_set.contains(&f.norm),
+        |key, f, steps| sink.accept(buf.text_name(&f.norm, key.up, steps)),
+    );
+    buf.chain = chain;
+}
+
+/// What a node-text name is a function of: the nearby field (its index in
+/// `page.fields`), the depth of its lowest common ancestor with the
+/// featurized node, and the `up` levels from that node to the ancestor.
+/// The name is `t:{label}@^{up}` followed by the field's XPath steps below
+/// `lca_depth`, so [`FrozenPage`] memoizes its frozen id under this key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct TextKey {
+    field: usize,
+    lca_depth: usize,
+    up: usize,
+}
+
+/// The one nearby-field scan behind node-text features: every field in the
+/// subtree of `node`'s `text_feature_levels`-th ancestor (at most
+/// `max_nearby_fields` of them, `node` itself excluded) that `is_frequent`
+/// admits is passed to `visit` with its [`TextKey`] and the XPath steps
+/// from the lowest common ancestor down to it. The tree path climbs `up`
+/// levels, then descends the field's own absolute XPath — no DOM walk per
+/// feature. `chain` is scratch for the ancestor-or-self chain.
+fn scan_nearby_text(
+    cfg: &FeatureConfig,
+    page: &PageView,
+    node: NodeId,
+    chain: &mut Vec<NodeId>,
+    is_frequent: impl Fn(usize, &FieldInfo) -> bool,
+    mut visit: impl FnMut(TextKey, &FieldInfo, &[Step]),
+) {
     // `chain[k]` is the k-th ancestor-or-self; its last entry is the
     // scope whose subtree is scanned for nearby frequent strings.
-    let mut chain = std::mem::take(&mut buf.chain);
-    fill_chain(page, node, cfg.text_feature_levels, &mut chain);
+    fill_chain(page, node, cfg.text_feature_levels, chain);
     let scope = chain.last().copied().unwrap_or(node);
     let depth = page.doc.depth(node);
     let mut scanned = 0usize;
-    for f in &page.fields {
+    for (field, f) in page.fields.iter().enumerate() {
         if f.node == node {
             continue;
         }
@@ -559,25 +696,17 @@ fn text_features(
             break;
         }
         scanned += 1;
-        if !frequent_set.contains(&f.norm) {
+        if !is_frequent(field, f) {
             continue;
         }
         // The lowest common ancestor is the first chain node whose subtree
         // holds the field; it sits at depth `depth - up`, so the field's
         // XPath steps from there on lead down to it.
         let Some(up) = chain.iter().position(|&a| page.in_subtree(a, f.node)) else { continue };
-        let Some(steps) = depth.checked_sub(up).and_then(|d| f.xpath.0.get(d..)) else {
-            continue;
-        };
-        let label = &f.norm[..f.norm.floor_char_boundary(30)];
-        let b = buf.begin();
-        let _ = write!(b, "t:{label}@^{up}");
-        for step in steps {
-            let _ = write!(b, "/{}[{}]", step.tag, step.index);
-        }
-        sink.accept(buf.as_str());
+        let Some(lca_depth) = depth.checked_sub(up) else { continue };
+        let Some(steps) = f.xpath.0.get(lca_depth..) else { continue };
+        visit(TextKey { field, lca_depth, up }, f, steps);
     }
-    buf.chain = chain;
 }
 
 fn emit_node_features(
@@ -590,9 +719,7 @@ fn emit_node_features(
 ) {
     let doc = &page.doc;
     let Some(tag) = doc.node(n).tag() else { return };
-    let b = buf.begin();
-    let _ = write!(b, "s:tag={tag}@l{level}o{off}");
-    sink.accept(buf.as_str());
+    sink.accept(buf.attr_name("tag", tag, level, off));
     for (k, v) in doc.node(n).attrs() {
         // Never leak generator ground truth (or any data-* payload) into
         // the model.
@@ -600,9 +727,7 @@ fn emit_node_features(
             continue;
         }
         if FEATURE_ATTRS.contains(&k.as_str()) {
-            let b = buf.begin();
-            let _ = write!(b, "s:{k}={v}@l{level}o{off}");
-            sink.accept(buf.as_str());
+            sink.accept(buf.attr_name(k, v, level, off));
         }
     }
 }
@@ -819,6 +944,73 @@ mod tests {
         let v = s2.features_with(&pv, pv.fields[1].node, &mut FeatureScratch::new());
         let names: Vec<String> = v.iter().map(|(i, _)| s2.dict.name(i).to_string()).collect();
         assert!(names.iter().all(|n| n.starts_with("t:")), "{names:?}");
+    }
+
+    mod name_grammar {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Role prefixes a name is assembled under: none, then the pair
+        /// roles.
+        const PREFIXES: [&str; 3] = ["", "S|", "O|"];
+
+        proptest! {
+            /// The fmt-free assembly appends exactly the bytes the old
+            /// `write!` sites appended, for every name shape, at the
+            /// integer extremes and under every role prefix.
+            #[test]
+            fn prop_names_equal_the_format_output(
+                key in "[a-z]{1,8}",
+                val in ".{0,12}",
+                tag in "[a-z]{1,6}",
+                level in 0usize..40,
+                off in -12isize..12,
+                wide_level in 0usize..usize::MAX,
+                wide_off in isize::MIN..isize::MAX,
+                norm in ".{0,40}",
+                long_norm in "[a-zéж日]{28,40}",
+                up in 0usize..8,
+                raw_steps in proptest::collection::vec(("[a-z]{1,6}", 0u32..u32::MAX), 0..6),
+            ) {
+                let mut steps: Vec<Step> =
+                    raw_steps.into_iter().map(|(tag, index)| Step { tag, index }).collect();
+                steps.push(Step { tag: "li".to_string(), index: u32::MAX });
+                let path: String = steps.iter().map(|s| format!("/{}[{}]", s.tag, s.index)).collect();
+                let numbers = [
+                    (level, off),
+                    (wide_level, wide_off),
+                    (0, isize::MIN),
+                    (usize::MAX, isize::MAX),
+                    (level, -1),
+                ];
+                let mut buf = NameBuf::default();
+                for p in PREFIXES {
+                    buf.set_prefix(p);
+                    for (level, off) in numbers {
+                        prop_assert_eq!(
+                            buf.attr_name("tag", &tag, level, off),
+                            format!("{p}s:tag={tag}@l{level}o{off}")
+                        );
+                        prop_assert_eq!(
+                            buf.attr_name(&key, &val, level, off),
+                            format!("{p}s:{key}={val}@l{level}o{off}")
+                        );
+                        prop_assert_eq!(
+                            buf.sib_name(level, level / 3),
+                            format!("{p}s:sib={level}@l{}", level / 3)
+                        );
+                    }
+                    for (norm, up) in [(&norm, up), (&long_norm, usize::MAX)] {
+                        let label = &norm[..norm.floor_char_boundary(30)];
+                        prop_assert_eq!(
+                            buf.text_name(norm, up, &steps),
+                            format!("{p}t:{label}@^{up}{path}")
+                        );
+                        prop_assert_eq!(buf.text_name(norm, up, &[]), format!("{p}t:{label}@^{up}"));
+                    }
+                }
+            }
+        }
     }
 
     mod codec {

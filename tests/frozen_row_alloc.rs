@@ -1,7 +1,9 @@
 //! The serve path's allocation claim, pinned with a counting global
-//! allocator: once a [`FrozenPage`]'s segment memo and the caller's
-//! [`FeatureScratch`] are warm, `FrozenPage::row` allocates exactly its
-//! output `SparseVec` (one block, none when the row is empty).
+//! allocator: once a [`FrozenPage`]'s memos (structural segments and
+//! node-text ids) and the caller's [`FeatureScratch`] are warm,
+//! `FrozenPage::row` allocates exactly its output `SparseVec` (one block,
+//! none when the row is empty). The fixture's rows carry node-text ids, so
+//! the claim covers the node-text memo too.
 //!
 //! Allocations are counted per thread, so the test harness's own threads
 //! never leak into the count.
@@ -82,6 +84,12 @@ fn warm_frozen_row_allocates_only_its_output() {
     let mut frozen = space.frozen_page(pv);
     let warm: Vec<_> = pv.fields.iter().map(|f| frozen.row(f.node, &mut scratch)).collect();
     assert!(warm.iter().any(|x| x.nnz() > 10), "rows carry no features");
+    let text_ids = warm
+        .iter()
+        .flat_map(|x| x.iter())
+        .filter(|&(id, _)| space.dict.name(id).starts_with("t:"))
+        .count();
+    assert!(text_ids > 0, "rows carry no node-text features");
     for (f, expected) in pv.fields.iter().zip(&warm) {
         let before = allocs();
         let x = frozen.row(f.node, &mut scratch);

@@ -8,12 +8,19 @@
 //! name, in order — on movie-vertical pages, IMDb pages, and random nested
 //! HTML. (Sink-vs-`collect_names` suites cannot catch a changed name:
 //! both sides run the same emitter.)
+//!
+//! The serve path reads node-text ids from a per-page memo instead of
+//! streaming names, so the same fixtures also pin `FrozenPage::row` to
+//! `features_with` on the frozen space: every field visited in a seeded
+//! shuffled order while the memo fills, then again once it is warm, on
+//! trained pages (dictionary hits) and unseen ones (cached misses).
 
 use ceres::core::config::FeatureConfig;
-use ceres::core::features::FeatureSpace;
+use ceres::core::features::{FeatureScratch, FeatureSpace};
 use ceres::core::page::PageView;
 use ceres::dom::{parse_html, Document, NodeId};
 use ceres::kb::{Kb, KbBuilder, Ontology};
+use ceres::ml::SparseVec;
 use ceres::synth::imdb;
 use ceres::synth::swde::{movie_vertical, SwdeConfig};
 use proptest::prelude::*;
@@ -91,6 +98,61 @@ fn check_pages(space: &FeatureSpace, pages: &[PageView]) -> usize {
     compared
 }
 
+/// `0..n` in a seeded Fisher–Yates order (xorshift64*).
+fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+    let mut state = seed | 1;
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        let j = (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % (i as u64 + 1)) as usize;
+        order.swap(i, j);
+    }
+    order
+}
+
+/// Train `space` on every field of `train`, freeze it, and assert that
+/// `FrozenPage::row` equals `features_with` for every field of `served`:
+/// first in a seeded shuffled order while the page memo fills, then in a
+/// second shuffled order once it is warm. Returns how many `t:` ids the
+/// rows carried and how many `t:` names they dropped as dictionary misses.
+fn check_frozen_rows(
+    mut space: FeatureSpace,
+    train: &[PageView],
+    served: &[PageView],
+    seed: u64,
+) -> (usize, usize) {
+    let mut scratch = FeatureScratch::new();
+    for pv in train {
+        for f in &pv.fields {
+            space.features_with(pv, f.node, &mut scratch);
+        }
+    }
+    space.freeze();
+    let (mut hits, mut misses) = (0, 0);
+    for (p, pv) in served.iter().enumerate() {
+        let expected: Vec<SparseVec> =
+            pv.fields.iter().map(|f| space.features_with(pv, f.node, &mut scratch)).collect();
+        let mut frozen = space.frozen_page(pv);
+        for pass in 0..2u64 {
+            for fi in shuffled(pv.fields.len(), seed ^ ((p as u64) << 1) ^ pass) {
+                let node = pv.fields[fi].node;
+                let row = frozen.row(node, &mut scratch);
+                assert_eq!(row, expected[fi], "page {} node {node:?} pass {pass}", pv.page_id);
+            }
+        }
+        for (f, x) in pv.fields.iter().zip(&expected) {
+            let ids = x.iter().filter(|&(id, _)| space.dict.name(id).starts_with("t:")).count();
+            let names =
+                space.collect_names(pv, f.node).iter().filter(|n| n.starts_with("t:")).count();
+            hits += ids;
+            misses += names - ids;
+        }
+    }
+    (hits, misses)
+}
+
 fn views(site: &ceres::synth::dataset::Site, kb: &Kb, n: usize) -> Vec<PageView> {
     site.pages.iter().take(n).map(|p| PageView::build(&p.id, &p.html, kb)).collect()
 }
@@ -131,6 +193,36 @@ fn text_names_equal_the_reference_on_imdb_pages() {
         compared += check_pages(&space_over(&pages, FeatureConfig::default()), &pages);
     }
     assert!(compared > 200, "fixture too small: {compared} text names");
+}
+
+#[test]
+fn frozen_rows_equal_features_with_on_movie_vertical_pages() {
+    let (v, _) = movie_vertical(SwdeConfig { seed: 13, scale: 0.02 });
+    let (mut hits, mut misses) = (0, 0);
+    for (s, site) in v.sites.iter().take(4).enumerate() {
+        let pages = views(site, &v.kb, 10);
+        let (train, _) = pages.split_at(6);
+        let space = space_over(train, FeatureConfig::default());
+        let (h, m) = check_frozen_rows(space, train, &pages, s as u64 + 1);
+        hits += h;
+        misses += m;
+    }
+    assert!(hits > 500 && misses > 0, "fixture too small: {hits} t: ids, {misses} misses");
+}
+
+#[test]
+fn frozen_rows_equal_features_with_on_imdb_pages() {
+    let d = imdb::generate(5, 0.01);
+    let (mut hits, mut misses) = (0, 0);
+    for (s, site) in [&d.movie_site, &d.person_site].into_iter().enumerate() {
+        let pages = views(site, &d.kb, 8);
+        let (train, _) = pages.split_at(5);
+        let space = space_over(train, FeatureConfig::default());
+        let (h, m) = check_frozen_rows(space, train, &pages, s as u64 + 7);
+        hits += h;
+        misses += m;
+    }
+    assert!(hits > 200 && misses > 0, "fixture too small: {hits} t: ids, {misses} misses");
 }
 
 const TAGS: [&str; 6] = ["div", "span", "ul", "li", "p", "b"];
@@ -183,5 +275,32 @@ proptest! {
         // Counting the page twice makes every short field text frequent.
         let space = FeatureSpace::new(&[&pv, &pv], cfg);
         check_pages(&space, std::slice::from_ref(&pv));
+    }
+
+    #[test]
+    fn prop_frozen_rows_equal_features_with_on_random_nested_html(
+        trained_ops in proptest::collection::vec(0u32..14, 1..80),
+        unseen_ops in proptest::collection::vec(0u32..14, 1..80),
+        levels in 0usize..6,
+        nearby in 1usize..12,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Every page opens with the long label twice, so a frequent label
+        // is always cut inside a multibyte character.
+        let long = TEXTS[4];
+        let page = |ops: &[u32]| {
+            let html = format!("<div><b>{long}</b><i>{long}</i></div>{}", nested_html(ops));
+            PageView::build("p", &html, &empty_kb())
+        };
+        let pages = [page(&trained_ops), page(&unseen_ops)];
+        let cfg = FeatureConfig {
+            text_feature_levels: levels,
+            max_nearby_fields: nearby,
+            frequent_string_page_frac: 0.0,
+            ..FeatureConfig::default()
+        };
+        let space = FeatureSpace::new(&[&pages[0], &pages[0]], cfg);
+        prop_assert!(space.frequent.iter().any(|s| s.len() > 30 && !s.is_char_boundary(30)));
+        check_frozen_rows(space, &pages[..1], &pages, seed);
     }
 }
