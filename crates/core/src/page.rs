@@ -3,7 +3,8 @@
 //! The pipeline touches each text field many times (topic scoring, relation
 //! annotation, feature extraction, extraction); [`PageView`] computes the
 //! expensive per-field facts — normalized text, KB matches, XPath — exactly
-//! once.
+//! once. Served pages skip the KB matches: extraction never reads them
+//! ([`PageView::build_unmatched`]).
 
 use crate::config::GuardConfig;
 use crate::session::PageError;
@@ -44,10 +45,17 @@ pub struct PageView {
     exit: Vec<u32>,
 }
 
+/// Where a build looks up its fields' KB matches.
+enum Matcher<'a, 'kb> {
+    Kb(&'a Kb),
+    /// Read-through over the cache's KB (see [`PageView::build_with_cache`]).
+    Cache(&'a mut MatchCache<'kb>),
+}
+
 impl PageView {
     /// Parse `html` and match every text field against `kb`.
     pub fn build(page_id: &str, html: &str, kb: &Kb) -> PageView {
-        PageView::build_inner(page_id, html, kb, None)
+        PageView::build_inner(page_id, html, Some(Matcher::Kb(kb)))
     }
 
     /// [`PageView::build`] matching through a shared [`MatchCache`] — the
@@ -61,59 +69,64 @@ impl PageView {
         kb: &Kb,
         cache: &mut MatchCache<'_>,
     ) -> PageView {
-        PageView::build_inner(page_id, html, kb, Some(cache))
+        debug_assert!(std::ptr::eq(kb, cache.kb()), "cache over a different KB");
+        PageView::build_inner(page_id, html, Some(Matcher::Cache(cache)))
     }
 
-    /// Shared core of the build paths. Matching is batched: every field is
-    /// normalized, identical normalized strings are folded to one lookup
-    /// ([`fold_unique`] — template pages repeat labels and shared values
-    /// heavily), the distinct strings go through one shard-grouped
-    /// [`Kb::match_batch`] call (optionally memoized by `cache`), and the
-    /// answers fan back out per field. `match_batch(uniq)[slot[i]]` is
-    /// exactly `match_norm(norm[i])`, so the produced `FieldInfo`s are
-    /// byte-identical to the old per-field loop (pinned in
-    /// `tests/match_path.rs`).
-    fn build_inner(
-        page_id: &str,
-        html: &str,
-        kb: &Kb,
-        cache: Option<&mut MatchCache<'_>>,
-    ) -> PageView {
+    /// Parse `html` without matching it against any KB: every field's
+    /// `matches` is empty, and everything else equals [`PageView::build`].
+    /// Extraction (§4.3) reads only the DOM, field texts and XPaths, so the
+    /// pages a [`TrainedSite`](crate::session::TrainedSite) serves are
+    /// built this way; the KB only makes training labels.
+    pub fn build_unmatched(page_id: &str, html: &str) -> PageView {
+        PageView::build_inner(page_id, html, None)
+    }
+
+    /// Shared core of the build paths. Every step index of every field's
+    /// XPath comes from one per-page table ([`Document::xpath_indices`]).
+    /// With a `matcher`, matching is batched: identical normalized field
+    /// strings are folded to one lookup ([`fold_unique`] — template pages
+    /// repeat labels and shared values heavily), the distinct strings go
+    /// through one shard-grouped [`Kb::match_batch`] call (optionally
+    /// memoized by a cache), and the answers fan back out per field.
+    /// `match_batch(uniq)[slot[i]]` is exactly `match_norm(norm[i])`, so the
+    /// produced `FieldInfo`s are byte-identical to the old per-field loop
+    /// (pinned in `tests/match_path.rs`). Without one, no field is matched.
+    fn build_inner(page_id: &str, html: &str, matcher: Option<Matcher<'_, '_>>) -> PageView {
         let doc = parse_html(html);
+        let indices = doc.xpath_indices();
         let nodes = doc.text_fields();
-        let mut texts = Vec::with_capacity(nodes.len());
-        let mut norms = Vec::with_capacity(nodes.len());
-        for &node in &nodes {
-            let text = doc.own_text(node);
-            // Normalize once; `match_batch` consumes the canonical form
-            // directly (the old `match_text(&text)` re-normalized `text`
-            // internally — every field was normalized twice).
-            norms.push(normalize(&text));
-            texts.push(text);
-        }
-        let (matched, slots): (Vec<&[ValueId]>, Vec<u32>) = {
-            let fold = fold_unique(&norms);
-            let matched = match cache {
-                Some(cache) => cache.match_batch(&fold.uniq),
-                None => kb.match_batch(&fold.uniq),
-            };
-            (matched, fold.slots)
-        };
         let mut fields = Vec::with_capacity(nodes.len());
-        let mut field_by_node = FxHashMap::default();
-        for (i, node) in nodes.into_iter().enumerate() {
-            let matches = matched[slots[i] as usize].to_vec();
+        let mut field_by_node =
+            FxHashMap::with_capacity_and_hasher(nodes.len(), Default::default());
+        for node in nodes {
+            let text = doc.own_text(node);
             let gt_id = doc.node(node).attr("data-gt").and_then(|v| v.parse().ok());
-            let xpath = doc.xpath(node);
             field_by_node.insert(node, fields.len());
             fields.push(FieldInfo {
                 node,
-                text: std::mem::take(&mut texts[i]),
-                norm: std::mem::take(&mut norms[i]),
-                matches,
-                xpath,
+                // Normalize once; `match_batch` consumes the canonical form
+                // directly.
+                norm: normalize(&text),
+                text,
+                matches: Vec::new(),
+                xpath: doc.xpath_from(node, &indices),
                 gt_id,
             });
+        }
+        if let Some(matcher) = matcher {
+            let (matched, slots) = {
+                let norms: Vec<&str> = fields.iter().map(|f| f.norm.as_str()).collect();
+                let fold = fold_unique(&norms);
+                let matched = match matcher {
+                    Matcher::Kb(kb) => kb.match_batch(&fold.uniq),
+                    Matcher::Cache(cache) => cache.match_batch(&fold.uniq),
+                };
+                (matched, fold.slots)
+            };
+            for (f, slot) in fields.iter_mut().zip(slots) {
+                f.matches = matched[slot as usize].to_vec();
+            }
         }
         let (enter, exit) = euler_intervals(&doc);
         PageView { page_id: page_id.to_string(), doc, fields, field_by_node, enter, exit }
@@ -134,7 +147,7 @@ impl PageView {
         kb: &Kb,
         guards: &GuardConfig,
     ) -> Result<PageView, PageError> {
-        PageView::try_build_inner(page_id, html, kb, guards, None)
+        PageView::try_build_inner(page_id, html, Some(Matcher::Kb(kb)), guards)
     }
 
     /// [`PageView::try_build`] matching through a shared [`MatchCache`]
@@ -146,15 +159,28 @@ impl PageView {
         guards: &GuardConfig,
         cache: &mut MatchCache<'_>,
     ) -> Result<PageView, PageError> {
-        PageView::try_build_inner(page_id, html, kb, guards, Some(cache))
+        debug_assert!(std::ptr::eq(kb, cache.kb()), "cache over a different KB");
+        PageView::try_build_inner(page_id, html, Some(Matcher::Cache(cache)), guards)
     }
 
+    /// [`PageView::try_build`] without KB matching (see
+    /// [`PageView::build_unmatched`]): the same guards, the same
+    /// `fault-inject` hook, the same outcome on every page.
+    pub fn try_build_unmatched(
+        page_id: &str,
+        html: &str,
+        guards: &GuardConfig,
+    ) -> Result<PageView, PageError> {
+        PageView::try_build_inner(page_id, html, None, guards)
+    }
+
+    /// The single guarded build core: the `fault-inject` hook, the size
+    /// cap, then [`PageView::build_inner`] and the structure checks.
     fn try_build_inner(
         page_id: &str,
         html: &str,
-        kb: &Kb,
+        matcher: Option<Matcher<'_, '_>>,
         guards: &GuardConfig,
-        cache: Option<&mut MatchCache<'_>>,
     ) -> Result<PageView, PageError> {
         #[cfg(feature = "fault-inject")]
         if html.contains(crate::session::FAULT_PANIC_MARKER) {
@@ -167,7 +193,7 @@ impl PageView {
                 limit: guards.max_page_bytes,
             });
         }
-        let view = PageView::build_inner(page_id, html, kb, cache);
+        let view = PageView::build_inner(page_id, html, matcher);
         let depth = view.doc.max_depth();
         if depth > guards.max_dom_depth {
             return Err(PageError::ParseDepthExceeded { depth, limit: guards.max_dom_depth });
@@ -335,6 +361,37 @@ mod tests {
         assert_eq!(ok.fields.len(), 1);
     }
 
+    /// The unmatched build is the matched build with every `matches` list
+    /// empty: same document, fields, XPaths, node index and Euler clocks.
+    fn assert_unmatched_equals_matched(html: &str, kb: &Kb) {
+        let matched = PageView::build("p", html, kb);
+        let unmatched = PageView::build_unmatched("p", html);
+        assert_eq!(unmatched.page_id, matched.page_id);
+        assert_eq!(unmatched.doc.to_html(), matched.doc.to_html());
+        assert_eq!(unmatched.fields.len(), matched.fields.len());
+        for (u, m) in unmatched.fields.iter().zip(&matched.fields) {
+            assert_eq!((u.node, &u.text, &u.norm), (m.node, &m.text, &m.norm));
+            assert_eq!((&u.xpath, u.gt_id), (&m.xpath, m.gt_id));
+            assert!(u.matches.is_empty());
+        }
+        assert_eq!(unmatched.field_by_node, matched.field_by_node);
+        assert_eq!((&unmatched.enter, &unmatched.exit), (&matched.enter, &matched.exit));
+        let guards = GuardConfig { max_page_bytes: 256, max_dom_depth: 6 };
+        let tried = |r: Result<PageView, PageError>| r.map(|v| v.fields.len());
+        assert_eq!(
+            tried(PageView::try_build_unmatched("p", html, &guards)),
+            tried(PageView::try_build("p", html, kb, &guards))
+        );
+    }
+
+    #[test]
+    fn unmatched_build_is_the_matched_build_without_matches() {
+        let kb = kb();
+        let html = r#"<html><body><h1 data-gt="0">Do the Right Thing</h1><div><span data-gt="1">Spike Lee</span><span>Spike Lee</span><b>Other</b></div></body></html>"#;
+        assert!(PageView::build("p", html, &kb).fields.iter().any(|f| !f.matches.is_empty()));
+        assert_unmatched_equals_matched(html, &kb);
+    }
+
     mod hostile_props {
         use super::*;
         use proptest::prelude::*;
@@ -360,6 +417,14 @@ mod tests {
                     }
                     Err(e) => prop_assert!(PageError::KINDS.contains(&e.kind())),
                 }
+            }
+
+            /// The unmatched build agrees with the matched one on any input.
+            #[test]
+            fn unmatched_build_agrees_on_taggy_input(
+                s in "(<(div|p|b|h1)>|</(div|p|b|h1)>|Spike Lee|[a-z &;<>]{0,6}){0,30}",
+            ) {
+                assert_unmatched_equals_matched(&s, &kb());
             }
 
             /// Under adversarially tight guards every outcome is still a

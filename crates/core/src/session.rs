@@ -982,8 +982,12 @@ impl<'kb> TrainedSite<'kb> {
     /// Extract from one page **not seen at train time**: parse it, assign
     /// it to the best-matching template cluster, and apply that cluster's
     /// model. Pages matching no trained template yield no extractions.
+    ///
+    /// Served pages are built without KB matching
+    /// ([`PageView::build_unmatched`]): extraction reads only the DOM, so
+    /// the result equals [`TrainedSite::extract_view`] over a matched view.
     pub fn extract_page(&self, id: &str, html: &str) -> Vec<Extraction> {
-        self.extract_view(&PageView::build(id, html, self.kb))
+        self.extract_view(&PageView::build_unmatched(id, html))
     }
 
     /// [`TrainedSite::extract_page`] over a pre-built view.
@@ -1000,7 +1004,7 @@ impl<'kb> TrainedSite<'kb> {
     /// every thread count).
     pub fn extract_batch(&self, pages: &[(String, String)]) -> Vec<Extraction> {
         self.rt
-            .par_map(pages, |(id, html)| self.extract_view(&PageView::build(id, html, self.kb)))
+            .par_map(pages, |(id, html)| self.extract_view(&PageView::build_unmatched(id, html)))
             .into_iter()
             .flatten()
             .collect()
@@ -1045,7 +1049,7 @@ impl<'kb> TrainedSite<'kb> {
     }
 
     fn vet_and_extract(&self, id: &str, html: &str) -> ExtractOutcome {
-        match PageView::try_build(id, html, self.kb, &self.guards) {
+        match PageView::try_build_unmatched(id, html, &self.guards) {
             Ok(view) => self.try_extract_view(&view),
             Err(why) => ExtractOutcome::Failed(why),
         }
@@ -1057,7 +1061,7 @@ impl<'kb> TrainedSite<'kb> {
     /// instead of being flattened into an empty extraction list. Index
     /// walks use `get` so even a hostile artifact that slipped past load
     /// validation degrades to `Unassigned`, never a panic.
-    fn try_extract_view(&self, view: &PageView) -> ExtractOutcome {
+    pub fn try_extract_view(&self, view: &PageView) -> ExtractOutcome {
         let scored = self.clustering.assign_scored(view);
         let model = scored
             .cluster

@@ -6,8 +6,12 @@
 //! annotation bookkeeping (sets of mention nodes, ancestor maps) leans on.
 
 use crate::xpath::{Step, XPath};
-use ceres_text::FxHashSet;
+use ceres_text::{FxHashMap, FxHashSet};
 use std::fmt::Write as _;
+
+/// Distinct sibling tags [`Document::xpath_indices`] counts in a linear
+/// list before it spills to a hash map.
+const XPATH_TALLY_LINEAR: usize = 8;
 
 /// Index of a node within its [`Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -219,11 +223,20 @@ impl Document {
     pub fn text_fields(&self) -> Vec<NodeId> {
         let mut out = Vec::new();
         for id in self.all_nodes() {
-            if self.node(id).is_element() && id != self.root && !self.own_text(id).is_empty() {
+            if self.node(id).is_element() && id != self.root && self.has_own_text(id) {
                 out.push(id);
             }
         }
         out
+    }
+
+    /// `!self.own_text(id).is_empty()` without building the string: some
+    /// direct text child holds a whitespace-separated token.
+    pub fn has_own_text(&self, id: NodeId) -> bool {
+        self.node(id).children.iter().any(|&child| match &self.node(child).kind {
+            NodeKind::Text(t) => t.split_whitespace().next().is_some(),
+            NodeKind::Element { .. } => false,
+        })
     }
 
     /// 1-based position of `id` among its same-tag element siblings — the
@@ -242,6 +255,46 @@ impl Document {
         }
         debug_assert!(false, "node not found among its parent's children");
         1
+    }
+
+    /// Every node's [`xpath_index`](Self::xpath_index), indexed by
+    /// [`NodeId::index`], from one pass over each parent's children: a
+    /// running per-tag count replaces the whole-sibling walk `xpath_index`
+    /// makes for every step of every path. The counts live in a short list
+    /// (a parent's children carry few distinct tags) that spills to a hash
+    /// map past `XPATH_TALLY_LINEAR` tags, so a hostile page with
+    /// thousands of distinct sibling tags stays linear. Read by
+    /// [`Document::xpath_from`].
+    pub fn xpath_indices(&self) -> Vec<u32> {
+        let mut indices = vec![1u32; self.nodes.len()];
+        let mut small: Vec<(Option<&str>, u32)> = Vec::with_capacity(XPATH_TALLY_LINEAR);
+        let mut spill: FxHashMap<Option<&str>, u32> = FxHashMap::default();
+        for node in &self.nodes {
+            if node.children.len() < 2 {
+                continue;
+            }
+            small.clear();
+            spill.clear();
+            for &child in &node.children {
+                let tag = self.node(child).tag();
+                indices[child.index()] = match small.iter().position(|(t, _)| *t == tag) {
+                    Some(p) => {
+                        small[p].1 += 1;
+                        small[p].1
+                    }
+                    None if small.len() < XPATH_TALLY_LINEAR => {
+                        small.push((tag, 1));
+                        1
+                    }
+                    None => {
+                        let n = spill.entry(tag).or_insert(0);
+                        *n += 1;
+                        *n
+                    }
+                };
+            }
+        }
+        indices
     }
 
     /// 0-based position of `id` among *all element* siblings (the "sibling
@@ -307,13 +360,24 @@ impl Document {
     /// `/html[1]/body[1]/div[3]/span[2]`. Text nodes are addressed through
     /// their parent element (CERES classifies elements, not text runs).
     pub fn xpath(&self, id: NodeId) -> XPath {
+        self.xpath_by(id, |n| self.xpath_index(n))
+    }
+
+    /// [`Document::xpath`] with every step index read from `indices`, the
+    /// table [`Document::xpath_indices`] built for this document.
+    pub fn xpath_from(&self, id: NodeId, indices: &[u32]) -> XPath {
+        self.xpath_by(id, |n| indices[n.index()])
+    }
+
+    fn xpath_by(&self, id: NodeId, index: impl Fn(NodeId) -> u32) -> XPath {
         let target =
             if self.node(id).is_element() { id } else { self.node(id).parent.unwrap_or(self.root) };
-        let mut steps = Vec::new();
+        // One step per node from `target` up to, not including, the root.
+        let mut steps = Vec::with_capacity(self.depth(target));
         let mut cur = target;
         while cur != self.root {
             let tag = self.node(cur).tag().unwrap_or("#text").to_string();
-            steps.push(Step { tag, index: self.xpath_index(cur) });
+            steps.push(Step { tag, index: index(cur) });
             match self.node(cur).parent {
                 Some(p) => cur = p,
                 None => break,

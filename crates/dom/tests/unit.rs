@@ -88,3 +88,85 @@ fn sibling_indices_distinguish_repeated_tags() {
     let unique: std::collections::BTreeSet<&String> = paths.iter().collect();
     assert_eq!(unique.len(), 3, "expected distinct paths, got {paths:?}");
 }
+
+/// The table-built XPaths and the allocation-free own-text test, checked
+/// node by node against the per-node references they replace.
+fn assert_helpers_match_the_references(doc: &ceres_dom::Document) {
+    let indices = doc.xpath_indices();
+    assert_eq!(indices.len(), doc.len());
+    for id in doc.all_nodes() {
+        assert_eq!(indices[id.index()], doc.xpath_index(id), "node {id:?}");
+        assert_eq!(doc.xpath_from(id, &indices), doc.xpath(id), "node {id:?}");
+        assert_eq!(doc.has_own_text(id), !doc.own_text(id).is_empty(), "node {id:?}");
+    }
+}
+
+#[test]
+fn xpath_table_counts_past_the_linear_tally() {
+    // Twenty distinct sibling tags, each repeated, interleaved with text
+    // runs: the per-parent tally spills to its hash map and keeps counting.
+    let mut html = String::from("<div>");
+    for round in 0..3 {
+        for t in 0..20 {
+            html.push_str(&format!("<t{t}>{round}</t{t}> "));
+        }
+    }
+    html.push_str("</div>");
+    let doc = parse_html(&html);
+    assert!(doc.text_fields().len() == 60);
+    assert_helpers_match_the_references(&doc);
+}
+
+#[test]
+fn own_text_test_sees_whitespace_as_no_text() {
+    let doc = parse_html("<p> \t\n</p><p>&nbsp;</p><p><b>x</b> </p><p> y </p>");
+    let fields: Vec<String> = doc.text_fields().into_iter().map(|f| doc.own_text(f)).collect();
+    assert_eq!(fields, ["x", "y"]);
+    assert_helpers_match_the_references(&doc);
+}
+
+mod helper_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    const TAGS: [&str; 12] =
+        ["div", "span", "ul", "li", "p", "b", "i", "td", "tr", "table", "a", "em"];
+    const TEXTS: [&str; 5] = ["Director:", " ", "x y", "\t&nbsp;\n", "é"];
+
+    /// Random nested HTML: each op opens a tag, writes a text (some of them
+    /// whitespace only), or closes the innermost open tag.
+    fn nested_html(ops: &[u32]) -> String {
+        let mut html = String::new();
+        let mut open: Vec<&str> = Vec::new();
+        for &op in ops {
+            let op = op as usize;
+            if op < TAGS.len() {
+                html.push_str(&format!("<{}>", TAGS[op]));
+                open.push(TAGS[op]);
+            } else if op < TAGS.len() + TEXTS.len() {
+                html.push_str(TEXTS[op - TAGS.len()]);
+            } else if let Some(tag) = open.pop() {
+                html.push_str(&format!("</{tag}>"));
+            }
+        }
+        html
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn helpers_equal_the_references_on_random_nested_html(
+            ops in proptest::collection::vec(0u32..20, 0..120),
+        ) {
+            assert_helpers_match_the_references(&parse_html(&nested_html(&ops)));
+        }
+
+        #[test]
+        fn helpers_equal_the_references_on_taggy_input(
+            s in "(<[a-k]{1,2}>|</[a-k]{1,2}>|[a-z &;]{0,6}){0,60}"
+        ) {
+            assert_helpers_match_the_references(&parse_html(&s));
+        }
+    }
+}

@@ -71,6 +71,11 @@ impl<'kb> MatchCache<'kb> {
         }
     }
 
+    /// The KB this cache reads through.
+    pub fn kb(&self) -> &'kb Kb {
+        self.kb
+    }
+
     /// Distinct strings currently cached.
     pub fn len(&self) -> usize {
         self.map.len()

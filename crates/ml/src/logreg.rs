@@ -518,14 +518,68 @@ impl LogReg {
     /// the same (increasing-index) order as [`SparseVec::dot`] over the
     /// class-major row, and adds its intercept last — bit-identical to the
     /// old `x.dot(&row[..d]) + row[d]` per class.
+    ///
+    /// Like the training kernel ([`loss_grad_span`]), scoring runs at the
+    /// model's class width: every `k` in 2..=24 takes [`Self::scores_at`]
+    /// with `k` a compile-time constant, so the accumulators are a
+    /// `[f64; K]` stack array and each per-class loop has a fixed trip
+    /// count. Wider models take [`Self::scores_accum`], the same loops over
+    /// a runtime width. Both add the same terms in the same order, so the
+    /// scores are bit-identical
+    /// (`class_width_scores_are_bit_identical_to_the_runtime_width_scores`).
     fn scores_write(&self, x: &SparseVec, out: &mut [f64]) {
         // One cheap pass picks the multiply-free monomorphization for
         // indicator features (the common case — see `Dataset::all_unit`).
-        if x.iter().all(|(_, v)| v == 1.0) {
-            self.scores_accum::<true>(x, out);
-        } else {
-            self.scores_accum::<false>(x, out);
+        let unit = x.iter().all(|(_, v)| v == 1.0);
+        macro_rules! by_width {
+            ($($k:literal)+) => {
+                match (self.n_classes, unit) {
+                    $(
+                        ($k, true) => self.scores_at::<true, $k>(x, out),
+                        ($k, false) => self.scores_at::<false, $k>(x, out),
+                    )+
+                    _ => None,
+                }
+            };
         }
+        if by_width!(2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24).is_none() {
+            if unit {
+                self.scores_accum::<true>(x, out);
+            } else {
+                self.scores_accum::<false>(x, out);
+            }
+        }
+    }
+
+    /// [`Self::scores_accum`] at the compile-time width `K`. Returns `None`,
+    /// having touched nothing, when `out` or the weights do not have the
+    /// `K`-wide shape (never, for a model built by `from_weights`), so the
+    /// caller falls back to the runtime width instead of panicking.
+    fn scores_at<const UNIT: bool, const K: usize>(
+        &self,
+        x: &SparseVec,
+        out: &mut [f64],
+    ) -> Option<()> {
+        let out = <&mut [f64; K]>::try_from(out).ok()?;
+        let bias = <&[f64; K]>::try_from(self.intercepts.as_slice()).ok()?;
+        let (w_blocks, []) = self.wt.as_chunks::<K>() else { return None };
+        if w_blocks.len() != self.n_features {
+            return None;
+        }
+        let mut scores = [0.0; K];
+        for (i, v) in x.iter() {
+            // Skip rule of `SparseVec::dot`: indices ≥ d have no block.
+            let Some(ws) = w_blocks.get(i as usize) else { continue };
+            let xv = f64::from(v);
+            for (s, &wv) in scores.iter_mut().zip(ws) {
+                *s += if UNIT { wv } else { xv * wv };
+            }
+        }
+        for (s, &b) in scores.iter_mut().zip(bias) {
+            *s += b;
+        }
+        *out = scores;
+        Some(())
     }
 
     fn scores_accum<const UNIT: bool>(&self, x: &SparseVec, out: &mut [f64]) {
@@ -1390,6 +1444,58 @@ mod tests {
         }
         assert_eq!(data.all_unit, unit, "fixture must take the intended kernel");
         data.fold_duplicates()
+    }
+
+    /// Scoring at the class width must equal the runtime-width loop to the
+    /// bit, for the raw scores and the posteriors, on indicator rows and
+    /// weighted rows, with indices at and past `n_features` skipped.
+    #[test]
+    fn class_width_scores_are_bit_identical_to_the_runtime_width_scores() {
+        let d = 30;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        };
+        // Every width of the dispatch `match`, and one beyond it, which
+        // takes the runtime width on both sides.
+        for k in (2..=24).chain([29]) {
+            let dim = k * (d + 1);
+            let w: Vec<f64> = (0..dim).map(|i| ((i * 17 % 29) as f64 - 14.0) * 0.07).collect();
+            let model = LogReg::from_parts(w, k, d).unwrap();
+            let mut scratch = ScoreScratch::new();
+            let mut reference = vec![0.0; k];
+            let (mut skipped, mut weighted) = (false, false);
+            for row in 0..40 {
+                let unit = row % 2 == 0;
+                // Indices run to d + 4: d itself must not alias the
+                // intercept, and anything beyond must be skipped.
+                let pairs: Vec<(u32, f32)> = (0..next(10))
+                    .map(|_| {
+                        let v = if unit { 1.0 } else { [0.5, -1.25, 3.0, 1.0][next(4) as usize] };
+                        (next(d as u64 + 5) as u32, v)
+                    })
+                    .collect();
+                let x = SparseVec::from_pairs(pairs);
+                skipped |= x.iter().any(|(i, _)| i as usize >= d);
+                let all_unit = x.iter().all(|(_, v)| v == 1.0);
+                weighted |= !all_unit;
+                if all_unit {
+                    model.scores_accum::<true>(&x, &mut reference);
+                } else {
+                    model.scores_accum::<false>(&x, &mut reference);
+                }
+                let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+                let got = model.scores_into(&x, &mut scratch);
+                assert_eq!(bits(got), bits(&reference), "scores, k={k} row={row}");
+                softmax_in_place(&mut reference);
+                let got = model.predict_proba_into(&x, &mut scratch);
+                assert_eq!(bits(got), bits(&reference), "posteriors, k={k} row={row}");
+            }
+            assert!(skipped && weighted, "fixture must cover skipped and weighted rows");
+        }
     }
 
     #[test]

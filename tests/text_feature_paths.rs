@@ -13,7 +13,10 @@
 //! streaming names, so the same fixtures also pin `FrozenPage::row` to
 //! `features_with` on the frozen space: every field visited in a seeded
 //! shuffled order while the memo fills, then again once it is warm, on
-//! trained pages (dictionary hits) and unseen ones (cached misses).
+//! trained pages (dictionary hits) and unseen ones (cached misses). Each
+//! served page is also built the way `TrainedSite` builds it, without KB
+//! matching (`PageView::build_unmatched`), and its frozen rows must equal
+//! the matched build's reference rows.
 
 use ceres::core::config::FeatureConfig;
 use ceres::core::features::{FeatureScratch, FeatureSpace};
@@ -115,14 +118,18 @@ fn shuffled(n: usize, seed: u64) -> Vec<usize> {
 /// Train `space` on every field of `train`, freeze it, and assert that
 /// `FrozenPage::row` equals `features_with` for every field of `served`:
 /// first in a seeded shuffled order while the page memo fills, then in a
-/// second shuffled order once it is warm. Returns how many `t:` ids the
-/// rows carried and how many `t:` names they dropped as dictionary misses.
+/// second shuffled order once it is warm. The rows of each page's served
+/// build (`unmatched[p]`, the same HTML built without KB matching) must
+/// equal the same references. Returns how many `t:` ids the rows carried
+/// and how many `t:` names they dropped as dictionary misses.
 fn check_frozen_rows(
     mut space: FeatureSpace,
     train: &[PageView],
     served: &[PageView],
+    unmatched: &[PageView],
     seed: u64,
 ) -> (usize, usize) {
+    assert_eq!(served.len(), unmatched.len());
     let mut scratch = FeatureScratch::new();
     for pv in train {
         for f in &pv.fields {
@@ -134,12 +141,19 @@ fn check_frozen_rows(
     for (p, pv) in served.iter().enumerate() {
         let expected: Vec<SparseVec> =
             pv.fields.iter().map(|f| space.features_with(pv, f.node, &mut scratch)).collect();
-        let mut frozen = space.frozen_page(pv);
-        for pass in 0..2u64 {
-            for fi in shuffled(pv.fields.len(), seed ^ ((p as u64) << 1) ^ pass) {
-                let node = pv.fields[fi].node;
-                let row = frozen.row(node, &mut scratch);
-                assert_eq!(row, expected[fi], "page {} node {node:?} pass {pass}", pv.page_id);
+        for (build, view) in [("matched", pv), ("unmatched", &unmatched[p])] {
+            assert_eq!(view.fields.len(), pv.fields.len(), "page {} {build}", pv.page_id);
+            let mut frozen = space.frozen_page(view);
+            for pass in 0..2u64 {
+                for fi in shuffled(pv.fields.len(), seed ^ ((p as u64) << 1) ^ pass) {
+                    let node = view.fields[fi].node;
+                    let row = frozen.row(node, &mut scratch);
+                    assert_eq!(
+                        row, expected[fi],
+                        "page {} node {node:?} pass {pass} {build}",
+                        pv.page_id
+                    );
+                }
             }
         }
         for (f, x) in pv.fields.iter().zip(&expected) {
@@ -155,6 +169,11 @@ fn check_frozen_rows(
 
 fn views(site: &ceres::synth::dataset::Site, kb: &Kb, n: usize) -> Vec<PageView> {
     site.pages.iter().take(n).map(|p| PageView::build(&p.id, &p.html, kb)).collect()
+}
+
+/// The first `n` pages of `site` built as a `TrainedSite` serves them.
+fn served_views(site: &ceres::synth::dataset::Site, n: usize) -> Vec<PageView> {
+    site.pages.iter().take(n).map(|p| PageView::build_unmatched(&p.id, &p.html)).collect()
 }
 
 fn space_over(pages: &[PageView], cfg: FeatureConfig) -> FeatureSpace {
@@ -203,7 +222,7 @@ fn frozen_rows_equal_features_with_on_movie_vertical_pages() {
         let pages = views(site, &v.kb, 10);
         let (train, _) = pages.split_at(6);
         let space = space_over(train, FeatureConfig::default());
-        let (h, m) = check_frozen_rows(space, train, &pages, s as u64 + 1);
+        let (h, m) = check_frozen_rows(space, train, &pages, &served_views(site, 10), s as u64 + 1);
         hits += h;
         misses += m;
     }
@@ -218,7 +237,7 @@ fn frozen_rows_equal_features_with_on_imdb_pages() {
         let pages = views(site, &d.kb, 8);
         let (train, _) = pages.split_at(5);
         let space = space_over(train, FeatureConfig::default());
-        let (h, m) = check_frozen_rows(space, train, &pages, s as u64 + 7);
+        let (h, m) = check_frozen_rows(space, train, &pages, &served_views(site, 8), s as u64 + 7);
         hits += h;
         misses += m;
     }
@@ -288,11 +307,11 @@ proptest! {
         // Every page opens with the long label twice, so a frequent label
         // is always cut inside a multibyte character.
         let long = TEXTS[4];
-        let page = |ops: &[u32]| {
-            let html = format!("<div><b>{long}</b><i>{long}</i></div>{}", nested_html(ops));
-            PageView::build("p", &html, &empty_kb())
-        };
-        let pages = [page(&trained_ops), page(&unseen_ops)];
+        let html =
+            |ops: &[u32]| format!("<div><b>{long}</b><i>{long}</i></div>{}", nested_html(ops));
+        let htmls = [html(&trained_ops), html(&unseen_ops)];
+        let pages = htmls.clone().map(|h| PageView::build("p", &h, &empty_kb()));
+        let unmatched = htmls.map(|h| PageView::build_unmatched("p", &h));
         let cfg = FeatureConfig {
             text_feature_levels: levels,
             max_nearby_fields: nearby,
@@ -301,6 +320,6 @@ proptest! {
         };
         let space = FeatureSpace::new(&[&pages[0], &pages[0]], cfg);
         prop_assert!(space.frequent.iter().any(|s| s.len() > 30 && !s.is_char_boundary(30)));
-        check_frozen_rows(space, &pages[..1], &pages, seed);
+        check_frozen_rows(space, &pages[..1], &pages, &unmatched, seed);
     }
 }
